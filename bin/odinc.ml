@@ -1297,8 +1297,13 @@ let mutate_cmd =
       }
     in
     let matrix, stats =
-      Mutate.Analysis.run ~telemetry:r ?journal_path:journal
-        ~host:[ "printf"; "puts" ] ~entry ~suite cfg m
+      try
+        Mutate.Analysis.run ~telemetry:r ?journal_path:journal
+          ~host:[ "printf"; "puts" ] ~entry ~suite cfg m
+      with Failure msg ->
+        (* a trapping pristine baseline, or a fully retired fleet *)
+        Printf.eprintf "odinc: %s\n" msg;
+        exit 1
     in
     print_string (Mutate.Analysis.render matrix);
     Printf.printf "workers    : %d (%s)\n" workers

@@ -12,11 +12,14 @@
     converges to the same pruned instrumentation a long single campaign
     would.
 
-    Everything that decides results — slot execution, the barrier
-    merge, weighted votes, adaptive intervals, checkpoints — lives in
-    {!Orch}, shared verbatim with the process-isolated driver
-    ({!Proc.run}, [--farm-mode procs]): the two substrates cannot
-    drift apart.
+    Everything that decides results — slot execution, the round
+    schedule, the barrier merge, weighted votes, adaptive intervals,
+    checkpoints — lives in {!Orch}, shared verbatim with the
+    process-isolated driver ({!Proc.run}, [--farm-mode procs]): the
+    two substrates cannot drift apart. Both drivers deal slots with
+    the same round-robin {!Supervisor.deal}; the process driver's
+    supervision (spawn, watchdog, restart/retire, shutdown) is the one
+    {!Supervisor}, which the mutation campaign runs on too.
 
     {2 Determinism}
 
@@ -61,6 +64,7 @@
 module Csync = Csync
 module Orch = Orch
 module Wire = Wire
+module Supervisor = Supervisor
 module Proc = Proc
 module Recorder = Telemetry.Recorder
 
@@ -125,7 +129,6 @@ type worker = {
   wk_id : int;
   wk_session : Odin.Session.t;
   wk_cov : Odin.Cov.t;
-  wk_probes : (int, Instr.Probe.t) Hashtbl.t;  (** pid -> probe, at setup *)
   wk_corpus : Fuzzer.Corpus.t;  (** shard; replica of the global corpus *)
   wk_recorder : Recorder.t;  (** forked; merged into the farm's at the end *)
   mutable wk_execs : int;
@@ -162,16 +165,8 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
   let pool = match pool with Some p -> p | None -> Support.Pool.default () in
   (* flight recorder: events are recorded throughout and the bounded
      window is atomically republished at every barrier *)
-  let jr =
-    match (journal, journal_path) with
-    | Some j, _ -> Some j
-    | None, Some _ -> Some (Telemetry.Journal.create ~clock:r.Recorder.clock ())
-    | None, None -> None
-  in
-  let jflush () =
-    match (jr, journal_path) with
-    | Some j, Some p -> Telemetry.Journal.flush j p
-    | _ -> ()
+  let jr, jflush =
+    Telemetry.Journal.for_campaign ?journal ?path:journal_path ~clock:r.Recorder.clock ()
   in
   let digest = Orch.module_digest base in
   (match resume with
@@ -181,20 +176,7 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
     if ck.Orch.ck_seed <> cfg.fc_seed then
       invalid_arg "Farm.run: checkpoint seed differs from the configured seed"
   | None -> ());
-  let farm_sp =
-    Telemetry.Span.enter r.Recorder.spans ~cat:"farm"
-      ~args:
-        [
-          ("workers", string_of_int nw);
-          ("execs", string_of_int cfg.fc_execs);
-          ("sync_interval", string_of_int cfg.fc_sync_interval);
-          ("seed", string_of_int cfg.fc_seed);
-          ("mode", "domains");
-        ]
-      "farm"
-  in
-  Fun.protect ~finally:(fun () -> Telemetry.Span.exit r.Recorder.spans farm_sp)
-  @@ fun () ->
+  Orch.with_farm_span r cfg ~workers:nw ~mode:"domains" @@ fun farm_sp ->
   let shared = Odin.Session.object_cache ~size:1024 () in
   let jclock = Telemetry.Clock.synchronized r.Recorder.clock in
   (* Workers are created serially in id order: worker 0's initial build
@@ -218,15 +200,10 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
       | Odin.Session.Rolled_back err ->
         Some ("initial build rolled back: " ^ err.Odin.Session.err_msg)
     in
-    let probes = Hashtbl.create 97 in
-    List.iter
-      (fun (p : Instr.Probe.t) -> Hashtbl.replace probes p.Instr.Probe.pid p)
-      (Instr.Manager.to_list session.Odin.Session.manager);
     {
       wk_id = i;
       wk_session = session;
       wk_cov = cov;
-      wk_probes = probes;
       wk_corpus = Fuzzer.Corpus.create ();
       wk_recorder = wr;
       wk_execs = 0;
@@ -258,18 +235,19 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
   let n_seeds = List.length seeds in
   let default_input = match seeds with s :: _ -> s | [] -> "\x00" in
 
+  let remove_probes w pids =
+    let mgr = w.wk_session.Odin.Session.manager in
+    List.iter
+      (fun pid -> Option.iter (Instr.Manager.remove mgr) (Instr.Manager.get mgr pid))
+      pids
+  in
   (* apply checkpointed barrier effects to a fresh worker: replay the
      global corpus into its shard and remove the pruned probes, exactly
      as the broadcasts/prunes it missed would have *)
   let apply_ckpt_state w =
     Orch.replay_corpus w.wk_corpus (Orch.corpus_entries orch);
     let prunes = Orch.pruned_list orch in
-    List.iter
-      (fun pid ->
-        match Hashtbl.find_opt w.wk_probes pid with
-        | Some p -> Instr.Manager.remove w.wk_session.Odin.Session.manager p
-        | None -> ())
-      prunes;
+    remove_probes w prunes;
     (* tier promotions catch up from the checkpointed merged profile:
        promote_hot is idempotent, so the fresh session re-derives the
        cumulative promotion set the campaign had reached *)
@@ -396,12 +374,7 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
        every survivor *)
     List.iter
       (fun w ->
-        List.iter
-          (fun pid ->
-            match Hashtbl.find_opt w.wk_probes pid with
-            | Some p -> Instr.Manager.remove w.wk_session.Odin.Session.manager p
-            | None -> ())
-          prunes;
+        remove_probes w prunes;
         let promoted =
           if profile <> [] then
             Odin.Session.promote_hot ~threshold:cfg.fc_promote_share
@@ -480,17 +453,9 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
   (* slots are dealt round-robin over the live workers; the deal only
      decides who computes what *)
   let run_round ~round ~next idxs =
-    let ws = live workers in
-    match ws with
+    match live workers with
     | [] -> ()
-    | _ ->
-      let n = List.length ws in
-      let shares = Array.make n [] in
-      List.iteri (fun k idx -> shares.(k mod n) <- idx :: shares.(k mod n)) idxs;
-      let jobs =
-        List.mapi (fun k w -> (w, List.rev shares.(k))) ws
-        |> List.filter (fun (_, idxs) -> idxs <> [])
-      in
+    | ws ->
       let results =
         Support.Pool.map pool
           (fun (w, idxs) ->
@@ -498,29 +463,13 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
               ~args:[ ("round", string_of_int round) ]
               "worker-round"
               (fun () -> (w, run_share w idxs)))
-          jobs
+          (Supervisor.deal ws idxs)
       in
       barrier ~round ~next results
   in
-  (* round 0: the seed inputs themselves, then the mutation budget in
-     sync-interval chunks (current interval: adaptive when enabled) *)
-  let budget = max 0 cfg.fc_execs in
-  let next = ref 0 in
-  let round = ref 1 in
-  (match resume with
-  | Some ck ->
-    next := ck.Orch.ck_next;
-    round := ck.Orch.ck_round + 1
-  | None ->
-    if n_seeds > 0 && live workers <> [] then
-      run_round ~round:0 ~next:0 (List.init n_seeds (fun i -> i)));
-  while !next < budget && live workers <> [] do
-    let n = min orch.Orch.o_interval (budget - !next) in
-    let slots = List.init n (fun k -> n_seeds + !next + k) in
-    next := !next + n;
-    run_round ~round:!round ~next:!next slots;
-    incr round
-  done;
+  Orch.schedule orch cfg ~resume ~n_seeds
+    ~alive:(fun () -> live workers <> [])
+    run_round;
 
   (* ---------------- join ------------------------------------------ *)
   let cross = Odin.Session.cross_hits shared in

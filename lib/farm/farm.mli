@@ -22,8 +22,13 @@ module Orch = Orch
     format. *)
 module Wire = Wire
 
-(** The process-isolated driver: supervisor, preemptive watchdog,
-    kill/restart, checkpoint/resume. *)
+(** The process supervisor shared by the process-isolated fuzz driver
+    and the mutation campaign: spawn, handshake, preemptive watchdog,
+    kill/restart/retire, shutdown, and the worker-side serve loop. *)
+module Supervisor = Supervisor
+
+(** The process-isolated driver: a {!Supervisor} client plus
+    checkpoint/resume. *)
 module Proc = Proc
 
 type config = Orch.config = {
@@ -56,7 +61,6 @@ type worker = {
   wk_id : int;
   wk_session : Odin.Session.t;
   wk_cov : Odin.Cov.t;
-  wk_probes : (int, Instr.Probe.t) Hashtbl.t;
   wk_corpus : Fuzzer.Corpus.t;
   wk_recorder : Telemetry.Recorder.t;
   mutable wk_execs : int;

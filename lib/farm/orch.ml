@@ -518,6 +518,41 @@ let restore (cfg : config) ck =
 (** Digest pinning a module's identity for checkpoints and the wire
     Init frame: the printed IR's MD5 (print→parse round-trips
     structurally, so this is stable across the wire). *)
+(* round 0 replays the seeds (fresh campaigns only), then the budget
+   goes out in chunks of the current interval, slots numbered after the
+   seeds *)
+let schedule t (cfg : config) ~resume ~n_seeds ~alive run_round =
+  let budget = max 0 cfg.fc_execs in
+  let rec go ~round next =
+    if next < budget && alive () then begin
+      let n = min t.o_interval (budget - next) in
+      run_round ~round ~next:(next + n) (List.init n (fun k -> n_seeds + next + k));
+      go ~round:(round + 1) (next + n)
+    end
+  in
+  match resume with
+  | Some ck -> go ~round:(ck.ck_round + 1) ck.ck_next
+  | None ->
+    if n_seeds > 0 && alive () then
+      run_round ~round:0 ~next:0 (List.init n_seeds Fun.id);
+    go ~round:1 0
+
+let with_farm_span (r : Telemetry.Recorder.t) (cfg : config) ~workers ~mode f =
+  let spans = r.Telemetry.Recorder.spans in
+  let sp =
+    Telemetry.Span.enter spans ~cat:"farm"
+      ~args:
+        [
+          ("workers", string_of_int workers);
+          ("execs", string_of_int cfg.fc_execs);
+          ("sync_interval", string_of_int cfg.fc_sync_interval);
+          ("seed", string_of_int cfg.fc_seed);
+          ("mode", mode);
+        ]
+      "farm"
+  in
+  Fun.protect ~finally:(fun () -> Telemetry.Span.exit spans sp) (fun () -> f sp)
+
 let module_digest m = Digest.to_hex (Digest.string (Ir.Print.module_to_string m))
 
 (* ------------------------------------------------------------------ *)

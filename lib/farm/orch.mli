@@ -216,6 +216,30 @@ val snapshot :
     a checkpoint does not pin (quorum, adaptivity, GC bounds). *)
 val restore : config -> ckpt -> t
 
+(** The round schedule of both drivers: a fresh campaign's round 0
+    runs the seed slots; then the execution budget goes out in chunks
+    of the current (adaptive) sync interval while [alive ()], resuming
+    after a checkpoint's round and cursor. [run_round ~round ~next
+    slots] runs one round; [next] is the budget cursor after it. *)
+val schedule :
+  t ->
+  config ->
+  resume:ckpt option ->
+  n_seeds:int ->
+  alive:(unit -> bool) ->
+  (round:int -> next:int -> int list -> unit) ->
+  unit
+
+(** Run [f] inside a campaign's top-level ["farm"] span (passed to
+    [f]); [mode] names the driver. *)
+val with_farm_span :
+  Telemetry.Recorder.t ->
+  config ->
+  workers:int ->
+  mode:string ->
+  (Telemetry.Span.span -> 'a) ->
+  'a
+
 (** Digest pinning a module's identity for checkpoints and the wire
     Init frame: the printed IR's MD5. *)
 val module_digest : Ir.Modul.t -> string

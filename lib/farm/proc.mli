@@ -1,5 +1,8 @@
-(** Process-isolated fuzzing farm: a supervisor and N worker processes
-    exchanging {!Wire} frames over pipes.
+(** Process-isolated fuzzing farm: N worker processes exchanging
+    {!Wire} frames over pipes, run by {!Supervisor} — the one process
+    supervisor, shared with the mutation campaign. This module is its
+    fuzz client: the typed [Init]/[Ready]/[Assign]/[Items] codec, the
+    worker's round body, vote decay, barriers and checkpoints.
 
     Workers are stateless between rounds — every [Assign] frame carries
     the full round context — so a worker killed at any point (including
@@ -10,7 +13,8 @@
     kill/restart schedule. A worker that dies more than [max_restarts]
     times is retired and its outstanding work moves to the lowest-id
     live worker; each restart multiplies the worker's prune-vote weight
-    by [fc_vote_decay].
+    by [fc_vote_decay]. Every exit path — including a refused resume —
+    shuts the fleet down and reaps it.
 
     At every sync barrier the supervisor publishes an {!Orch.ckpt}
     through {!Wire.write_checkpoint}; [run ~resume] continues a

@@ -9,16 +9,18 @@
       never exchange anything mid-round — so merging rows in mutant-id
       order yields a structurally identical matrix for any worker count
       and either farm mode;
-    - the [Procs] supervisor is the fuzzing farm's shape
-      ({!Proc.run}): stateless children, restart = re-send the same
-      assignments, retire after [mc_max_restarts], preemptive heartbeat
-      watchdog, orphaned assignments re-dealt to the lowest-id live
-      worker. *)
+    - [Procs] mode is a client of {!Farm.Supervisor}, the supervisor
+      the fuzzing farm ({!Farm.Proc.run}) uses too: stateless children,
+      restart = re-send the same assignments, retire after
+      [mc_max_restarts], preemptive heartbeat watchdog, orphaned
+      assignments re-dealt to the lowest-id live worker. This module
+      only supplies the [mutate.*] codec. *)
 
 module Recorder = Telemetry.Recorder
 module Journal = Telemetry.Journal
 module Json = Telemetry.Json
 module Codec = Farm.Wire.Codec
+module Supervisor = Farm.Supervisor
 
 type outcome = Pass | Kill | Crash | Hang
 type verdict = Killed | Timeout | Survived
@@ -157,18 +159,24 @@ let r_row c =
   let r_cycles = Codec.r_i64 c in
   { r_id; r_desc; r_family; r_target; r_outcomes; r_verdict; r_cycles }
 
-let blob kind pack =
-  let b = Buffer.create 256 in
-  pack b;
-  Farm.Wire.Blob { bl_kind = kind; bl_data = Buffer.contents b }
-
-let open_blob ~kind data =
-  let c = Codec.cursor data in
-  ignore kind;
-  c
-
-let close_blob ~kind c =
-  if not (Codec.at_end c) then Codec.fail "mutate: trailing bytes in %s" kind
+(* One [mutate.*] message kind: an encoder to its Blob frame, and a
+   decoder that matches the kind ([None] for any other frame) and
+   rejects trailing bytes. *)
+let message kind write read =
+  let encode x =
+    let b = Buffer.create 256 in
+    write b x;
+    Farm.Wire.Blob { bl_kind = kind; bl_data = Buffer.contents b }
+  in
+  let decode = function
+    | Farm.Wire.Blob { bl_kind; bl_data } when bl_kind = kind ->
+      let c = Codec.cursor bl_data in
+      let x = read c in
+      if not (Codec.at_end c) then Codec.fail "mutate: trailing bytes in %s" kind;
+      Some x
+    | _ -> None
+  in
+  (encode, decode)
 
 (* mutate.init: everything a stateless child needs to rebuild the exact
    session and mutant universe (module text round-trips like the fuzz
@@ -186,8 +194,9 @@ type winit = {
   wi_mod_text : string;
 }
 
-let init_blob i =
-  blob "mutate.init" (fun b ->
+let init_msg, init_of_msg =
+  message "mutate.init"
+    (fun b i ->
       Codec.w_i64 b i.wi_id;
       Codec.w_str b i.wi_entry;
       Codec.w_list b Codec.w_str i.wi_host;
@@ -198,75 +207,66 @@ let init_blob i =
       Codec.w_opt b Codec.w_f64 i.wi_deadline;
       Codec.w_str b i.wi_mod_name;
       Codec.w_str b i.wi_mod_text)
+    (fun c ->
+      let wi_id = Codec.r_i64 c in
+      let wi_entry = Codec.r_str c in
+      let wi_host = Codec.r_list c Codec.r_str in
+      let wi_suite = Codec.r_list c Codec.r_str in
+      let wi_spec = Codec.r_str c in
+      let wi_limit = Codec.r_opt c Codec.r_i64 in
+      let wi_max_steps = Codec.r_i64 c in
+      let wi_deadline = Codec.r_opt c Codec.r_f64 in
+      let wi_mod_name = Codec.r_str c in
+      let wi_mod_text = Codec.r_str c in
+      {
+        wi_id;
+        wi_entry;
+        wi_host;
+        wi_suite;
+        wi_spec;
+        wi_limit;
+        wi_max_steps;
+        wi_deadline;
+        wi_mod_name;
+        wi_mod_text;
+      })
 
-let init_of_blob data =
-  let c = open_blob ~kind:"mutate.init" data in
-  let wi_id = Codec.r_i64 c in
-  let wi_entry = Codec.r_str c in
-  let wi_host = Codec.r_list c Codec.r_str in
-  let wi_suite = Codec.r_list c Codec.r_str in
-  let wi_spec = Codec.r_str c in
-  let wi_limit = Codec.r_opt c Codec.r_i64 in
-  let wi_max_steps = Codec.r_i64 c in
-  let wi_deadline = Codec.r_opt c Codec.r_f64 in
-  let wi_mod_name = Codec.r_str c in
-  let wi_mod_text = Codec.r_str c in
-  close_blob ~kind:"mutate.init" c;
-  {
-    wi_id;
-    wi_entry;
-    wi_host;
-    wi_suite;
-    wi_spec;
-    wi_limit;
-    wi_max_steps;
-    wi_deadline;
-    wi_mod_name;
-    wi_mod_text;
-  }
-
-let ready_blob ~id ~n_mutants =
-  blob "mutate.ready" (fun b ->
+(* mutate.ready: (worker id, mutant count) *)
+let ready_msg, ready_of_msg =
+  message "mutate.ready"
+    (fun b (id, n) ->
       Codec.w_i64 b id;
-      Codec.w_i64 b n_mutants)
+      Codec.w_i64 b n)
+    (fun c ->
+      let id = Codec.r_i64 c in
+      (id, Codec.r_i64 c))
 
-let ready_of_blob data =
-  let c = open_blob ~kind:"mutate.ready" data in
-  let id = Codec.r_i64 c in
-  let n = Codec.r_i64 c in
-  close_blob ~kind:"mutate.ready" c;
-  (id, n)
-
-let assign_blob ~round ids =
-  blob "mutate.assign" (fun b ->
+(* mutate.assign: (round, mutant ids) *)
+let assign_msg, assign_of_msg =
+  message "mutate.assign"
+    (fun b (round, ids) ->
       Codec.w_i64 b round;
       Codec.w_list b Codec.w_i64 ids)
+    (fun c ->
+      let round = Codec.r_i64 c in
+      (round, Codec.r_list c Codec.r_i64))
 
-let assign_of_blob data =
-  let c = open_blob ~kind:"mutate.assign" data in
-  let round = Codec.r_i64 c in
-  let ids = Codec.r_list c Codec.r_i64 in
-  close_blob ~kind:"mutate.assign" c;
-  (round, ids)
-
-(* worker -> supervisor: rows plus this batch's link accounting *)
-let rows_blob ~round ~incr ~full ~patched rows =
-  blob "mutate.rows" (fun b ->
+(* mutate.rows, worker -> supervisor: the round, then the batch's link
+   accounting (incremental, full, symbols patched) and rows *)
+let rows_msg, rows_of_msg =
+  message "mutate.rows"
+    (fun b (round, (incr, full, patched, rows)) ->
       Codec.w_i64 b round;
       Codec.w_i64 b incr;
       Codec.w_i64 b full;
       Codec.w_i64 b patched;
       Codec.w_list b w_row rows)
-
-let rows_of_blob data =
-  let c = open_blob ~kind:"mutate.rows" data in
-  let round = Codec.r_i64 c in
-  let incr = Codec.r_i64 c in
-  let full = Codec.r_i64 c in
-  let patched = Codec.r_i64 c in
-  let rows = Codec.r_list c r_row in
-  close_blob ~kind:"mutate.rows" c;
-  (round, incr, full, patched, rows)
+    (fun c ->
+      let round = Codec.r_i64 c in
+      let incr = Codec.r_i64 c in
+      let full = Codec.r_i64 c in
+      let patched = Codec.r_i64 c in
+      (round, (incr, full, patched, Codec.r_list c r_row)))
 
 let ckpt_version = 1
 
@@ -282,8 +282,9 @@ type ckpt = {
 let suite_digest suite =
   Digest.to_hex (Digest.string (String.concat "\x00" suite))
 
-let ckpt_blob ck =
-  blob "mutate.ckpt" (fun b ->
+let ckpt_msg, ckpt_of_msg =
+  message "mutate.ckpt"
+    (fun b ck ->
       Codec.w_u8 b ckpt_version;
       Codec.w_str b ck.ck_digest;
       Codec.w_str b ck.ck_spec;
@@ -291,19 +292,16 @@ let ckpt_blob ck =
       Codec.w_i64 b ck.ck_tests;
       Codec.w_str b ck.ck_suite_digest;
       Codec.w_list b w_row ck.ck_rows)
-
-let ckpt_of_blob data =
-  let c = open_blob ~kind:"mutate.ckpt" data in
-  let v = Codec.r_u8 c in
-  if v <> ckpt_version then Codec.fail "mutate: checkpoint version %d" v;
-  let ck_digest = Codec.r_str c in
-  let ck_spec = Codec.r_str c in
-  let ck_limit = Codec.r_opt c Codec.r_i64 in
-  let ck_tests = Codec.r_i64 c in
-  let ck_suite_digest = Codec.r_str c in
-  let ck_rows = Codec.r_list c r_row in
-  close_blob ~kind:"mutate.ckpt" c;
-  { ck_digest; ck_spec; ck_limit; ck_tests; ck_suite_digest; ck_rows }
+    (fun c ->
+      let v = Codec.r_u8 c in
+      if v <> ckpt_version then Codec.fail "mutate: checkpoint version %d" v;
+      let ck_digest = Codec.r_str c in
+      let ck_spec = Codec.r_str c in
+      let ck_limit = Codec.r_opt c Codec.r_i64 in
+      let ck_tests = Codec.r_i64 c in
+      let ck_suite_digest = Codec.r_str c in
+      let ck_rows = Codec.r_list c r_row in
+      { ck_digest; ck_spec; ck_limit; ck_tests; ck_suite_digest; ck_rows })
 
 (* ------------------------------------------------------------------ *)
 (* Single-worker evaluation (both modes, supervisor and child)         *)
@@ -521,23 +519,19 @@ let record_rows_events jr rows =
 (* Checkpoint plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let publish_ckpt path ck = ignore (Farm.Wire.write_frame_file path (ckpt_blob ck))
+let publish_ckpt path ck = ignore (Farm.Wire.write_frame_file path (ckpt_msg ck))
 
 let load_ckpt ~digest ~spec ~limit ~tests ~sdigest path =
-  match Farm.Wire.load_frame_file path with
-  | Error _ -> None
-  | Ok (Farm.Wire.Blob { bl_kind = "mutate.ckpt"; bl_data }, _) -> (
-    match ckpt_of_blob bl_data with
-    | ck ->
-      if ck.ck_digest <> digest then
-        invalid_arg "mutate: checkpoint is for a different target module";
-      if ck.ck_spec <> spec || ck.ck_limit <> limit then
-        invalid_arg "mutate: checkpoint operator set differs";
-      if ck.ck_tests <> tests || ck.ck_suite_digest <> sdigest then
-        invalid_arg "mutate: checkpoint suite differs";
-      Some ck
-    | exception Farm.Wire.Wire_error _ -> None)
-  | Ok _ -> None
+  match Result.map (fun (m, _) -> ckpt_of_msg m) (Farm.Wire.load_frame_file path) with
+  | Ok (Some ck) ->
+    if ck.ck_digest <> digest then
+      invalid_arg "mutate: checkpoint is for a different target module";
+    if ck.ck_spec <> spec || ck.ck_limit <> limit then
+      invalid_arg "mutate: checkpoint operator set differs";
+    if ck.ck_tests <> tests || ck.ck_suite_digest <> sdigest then
+      invalid_arg "mutate: checkpoint suite differs";
+    Some ck
+  | Ok None | Error _ | (exception Farm.Wire.Wire_error _) -> None
 
 (* ------------------------------------------------------------------ *)
 (* Round scheduler (shared by both modes)                              *)
@@ -546,21 +540,9 @@ let load_ckpt ~digest ~spec ~limit ~tests ~sdigest path =
 (** Deal the next [chunk * n_live] pending mutant ids round-robin over
     the live workers; the deal only decides who computes what. *)
 let deal ~chunk pending live =
-  let n = List.length live in
-  let take = min (chunk * n) (List.length pending) in
-  let rec split i acc = function
-    | rest when i = take -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> split (i + 1) (x :: acc) rest
-  in
-  let batch, rest = split 0 [] pending in
-  let shares = Array.make n [] in
-  List.iteri (fun k id -> shares.(k mod n) <- id :: shares.(k mod n)) batch;
-  let jobs =
-    List.mapi (fun k w -> (w, List.rev shares.(k))) live
-    |> List.filter (fun (_, ids) -> ids <> [])
-  in
-  (jobs, rest)
+  let take = chunk * List.length live in
+  ( Supervisor.deal live (List.filteri (fun i _ -> i < take) pending),
+    List.filteri (fun i _ -> i >= take) pending )
 
 (* ------------------------------------------------------------------ *)
 (* Domains mode                                                        *)
@@ -678,262 +660,62 @@ let run_domains ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
   (matrix, stats)
 
 (* ------------------------------------------------------------------ *)
-(* Procs mode: supervisor                                              *)
+(* Procs mode: a Supervisor client                                     *)
 (* ------------------------------------------------------------------ *)
-
-type pworker = {
-  pw_id : int;
-  mutable pw_pid : int;
-  mutable pw_in : Unix.file_descr;
-  mutable pw_out : Farm.Wire.reader;
-  mutable pw_restarts : int;
-  mutable pw_retired : string option;
-  mutable pw_last_seen : float;
-  mutable pw_queue : (int * int list) list;  (** outstanding (round, ids) *)
-}
-
-exception All_workers_retired
 
 let run_procs ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
   let nw = max 1 cfg.mc_workers in
-  let argv =
-    match cfg.mc_worker_argv with
-    | Some a -> a
-    | None -> [| Sys.executable_name; "mutate-worker" |]
+  let winit =
+    {
+      wi_id = 0;
+      wi_entry = entry;
+      wi_host = host;
+      wi_suite = suite;
+      wi_spec = families_spec cfg.mc_families;
+      wi_limit = cfg.mc_limit;
+      wi_max_steps = cfg.mc_max_steps;
+      wi_deadline = cfg.mc_deadline;
+      wi_mod_name = base.Ir.Modul.mname;
+      wi_mod_text = Ir.Print.module_to_string base;
+    }
   in
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  let env = Unix.environment () in
-  let init_for id =
-    init_blob
-      {
-        wi_id = id;
-        wi_entry = entry;
-        wi_host = host;
-        wi_suite = suite;
-        wi_spec = families_spec cfg.mc_families;
-        wi_limit = cfg.mc_limit;
-        wi_max_steps = cfg.mc_max_steps;
-        wi_deadline = cfg.mc_deadline;
-        wi_mod_name = base.Ir.Modul.mname;
-        wi_mod_text = Ir.Print.module_to_string base;
-      }
+  let spec =
+    {
+      Supervisor.argv =
+        Option.value cfg.mc_worker_argv
+          ~default:[| Sys.executable_name; "mutate-worker" |];
+      env = Unix.environment ();
+      timeout = cfg.mc_worker_timeout;
+      max_restarts = cfg.mc_max_restarts;
+      prefix = "mutate";
+      init = (fun id -> init_msg { winit with wi_id = id });
+      ready = (fun m -> Option.map snd (ready_of_msg m));
+      assign = assign_msg;
+      result = (fun _ -> rows_of_msg);
+      on_restart = ignore;
+    }
   in
-  let total_restarts = ref 0 in
-  let retired_log = ref [] in
-  let reap w =
-    (try Unix.kill w.pw_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] w.pw_pid) with Unix.Unix_error _ -> ());
-    (try Unix.close w.pw_in with Unix.Unix_error _ -> ());
-    (try Unix.close w.pw_out.Farm.Wire.rd_fd with Unix.Unix_error _ -> ());
-    Recorder.count (Some r) "mutate.worker_deaths"
+  Supervisor.run ~telemetry:r ~workers:nw spec @@ fun sup ->
+  let all_retired () =
+    failwith
+      (Printf.sprintf "mutate: all %d workers retired: %s" nw
+         (String.concat "; "
+            (List.map
+               (fun (id, why) -> Printf.sprintf "worker %d: %s" id why)
+               (Supervisor.retired sup))))
   in
-  let start w =
-    let out_r, out_w = Unix.pipe ~cloexec:true () in
-    let in_r, in_w = Unix.pipe ~cloexec:true () in
-    let pid = Unix.create_process_env argv.(0) argv env in_r out_w Unix.stderr in
-    Unix.close in_r;
-    Unix.close out_w;
-    w.pw_pid <- pid;
-    w.pw_in <- in_w;
-    w.pw_out <- Farm.Wire.reader out_r;
-    w.pw_last_seen <- Unix.gettimeofday ();
-    match
-      Farm.Wire.send w.pw_in (init_for w.pw_id);
-      let deadline = Unix.gettimeofday () +. max cfg.mc_worker_timeout 5. in
-      let rec await () =
-        match Farm.Wire.next w.pw_out with
-        | Some (Farm.Wire.Blob { bl_kind = "mutate.ready"; bl_data }) ->
-          let _, n = ready_of_blob bl_data in
-          Ok n
-        | Some (Farm.Wire.Died reason) -> Error reason
-        | Some _ -> Error "protocol violation in handshake"
-        | None ->
-          if Unix.gettimeofday () > deadline then Error "handshake timeout"
-          else (
-            match Unix.select [ w.pw_out.Farm.Wire.rd_fd ] [] [] 0.1 with
-            | [], _, _ -> await ()
-            | _ -> (
-              match Farm.Wire.feed w.pw_out with
-              | `Eof -> Error "worker exited during handshake"
-              | `Read _ -> await ()))
-      in
-      await ()
-    with
-    | result -> result
-    | exception Farm.Wire.Wire_error m -> Error m
-  in
-  let ws =
-    Array.init nw (fun id ->
-        {
-          pw_id = id;
-          pw_pid = -1;
-          pw_in = Unix.stdin;
-          pw_out = Farm.Wire.reader Unix.stdin;
-          pw_restarts = 0;
-          pw_retired = None;
-          pw_last_seen = 0.;
-          pw_queue = [];
-        })
-  in
-  let alive () =
-    Array.to_list ws |> List.filter (fun w -> w.pw_retired = None)
-  in
-  let send_assign w (round, ids) =
-    Farm.Wire.send w.pw_in (assign_blob ~round ids)
-  in
-  let rec on_death w reason =
-    if w.pw_retired = None then begin
-      reap w;
-      if w.pw_restarts < cfg.mc_max_restarts then begin
-        w.pw_restarts <- w.pw_restarts + 1;
-        incr total_restarts;
-        Recorder.count (Some r) "mutate.worker_restarts";
-        match start w with
-        | Ok _ -> (
-          try List.iter (send_assign w) w.pw_queue
-          with Farm.Wire.Wire_error m -> on_death w ("resend failed: " ^ m))
-        | Error m -> on_death w ("restart failed: " ^ m)
-      end
-      else begin
-        w.pw_retired <- Some reason;
-        retired_log := (w.pw_id, reason) :: !retired_log;
-        let orphans = w.pw_queue in
-        w.pw_queue <- [];
-        match alive () with
-        | [] -> raise All_workers_retired
-        | h :: _ ->
-          if orphans <> [] then begin
-            h.pw_queue <- h.pw_queue @ orphans;
-            try List.iter (send_assign h) orphans
-            with Farm.Wire.Wire_error m ->
-              on_death h ("orphan reassign failed: " ^ m)
-          end
-      end
-    end
-  in
-  (* initial fleet *)
-  let n_mutants = ref (-1) in
-  Array.iter
-    (fun w ->
-      let rec boot attempts =
-        match start w with
-        | Ok n ->
-          if !n_mutants < 0 then n_mutants := n
-          else if n <> !n_mutants then begin
-            reap w;
-            w.pw_retired <- Some "mutant-count mismatch";
-            retired_log := (w.pw_id, "mutant-count mismatch") :: !retired_log
-          end
-        | Error m ->
-          reap w;
-          if attempts < cfg.mc_max_restarts then begin
-            w.pw_restarts <- w.pw_restarts + 1;
-            incr total_restarts;
-            boot (attempts + 1)
-          end
-          else begin
-            w.pw_retired <- Some m;
-            retired_log := (w.pw_id, m) :: !retired_log
-          end
-      in
-      boot 0)
-    ws;
-  if alive () = [] then raise All_workers_retired;
-  let n_mutants = max 0 !n_mutants in
+  if Supervisor.live sup = [] then all_retired ();
   let rows = Hashtbl.create 997 in
   List.iter (fun row -> Hashtbl.replace rows row.r_id row) done_rows;
-  let incr_links = ref 0 and full_links = ref 0 and patched = ref 0 in
-  let collect_round shares =
-    List.iter
-      (fun (w, a) ->
-        w.pw_queue <- w.pw_queue @ [ a ];
-        try send_assign w a
-        with Farm.Wire.Wire_error m -> on_death w ("assign failed: " ^ m))
-      shares;
-    let outstanding () =
-      Array.to_list ws
-      |> List.filter (fun w -> w.pw_retired = None && w.pw_queue <> [])
-    in
-    let exception Dead of string in
-    while outstanding () <> [] do
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun w ->
-          if now -. w.pw_last_seen > cfg.mc_worker_timeout then
-            on_death w "missed heartbeat deadline (preemptive kill)")
-        (outstanding ());
-      let waiting = outstanding () in
-      if waiting <> [] then begin
-        let fds = List.map (fun w -> w.pw_out.Farm.Wire.rd_fd) waiting in
-        let readable, _, _ =
-          try Unix.select fds [] [] 0.05
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        List.iter
-          (fun fd ->
-            match
-              List.find_opt
-                (fun w -> w.pw_out.Farm.Wire.rd_fd == fd)
-                waiting
-            with
-            | None -> ()
-            | Some w -> (
-              try
-                (match Farm.Wire.feed w.pw_out with
-                | `Eof ->
-                  if Farm.Wire.pending w.pw_out > 0 then
-                    raise (Dead "torn frame: worker died mid-send")
-                  else raise (Dead "worker closed pipe")
-                | `Read n ->
-                  if n > 0 then w.pw_last_seen <- Unix.gettimeofday ());
-                let rec drain () =
-                  match Farm.Wire.next w.pw_out with
-                  | None -> ()
-                  | Some (Farm.Wire.Heartbeat _) ->
-                    w.pw_last_seen <- Unix.gettimeofday ();
-                    drain ()
-                  | Some (Farm.Wire.Blob { bl_kind = "mutate.rows"; bl_data })
-                    ->
-                    w.pw_last_seen <- Unix.gettimeofday ();
-                    let round, incr, full, pat, batch =
-                      rows_of_blob bl_data
-                    in
-                    (match w.pw_queue with
-                    | [] -> raise (Dead "unsolicited rows frame")
-                    | (qround, _) :: rest ->
-                      if qround <> round then
-                        raise (Dead "rows for the wrong round");
-                      w.pw_queue <- rest;
-                      incr_links := !incr_links + incr;
-                      full_links := !full_links + full;
-                      patched := !patched + pat;
-                      List.iter
-                        (fun row -> Hashtbl.replace rows row.r_id row)
-                        batch;
-                      record_counters (Some r) batch;
-                      record_rows_events jr batch);
-                    drain ()
-                  | Some (Farm.Wire.Died reason) ->
-                    raise (Dead ("worker fault: " ^ reason))
-                  | Some _ -> raise (Dead "protocol violation")
-                in
-                drain ()
-              with
-              | Dead reason -> on_death w reason
-              | Farm.Wire.Wire_error m -> on_death w m))
-          readable
-      end
-    done
+  let sorted () =
+    Hashtbl.fold (fun _ row acc -> row :: acc) rows []
+    |> List.sort (fun a b -> compare a.r_id b.r_id)
   in
+  let incr_links = ref 0 and full_links = ref 0 and patched = ref 0 in
   let publish () =
     match cfg.mc_checkpoint with
     | None -> ()
     | Some path ->
-      let all =
-        Hashtbl.fold (fun _ row acc -> row :: acc) rows []
-        |> List.sort (fun a b -> compare a.r_id b.r_id)
-      in
       publish_ckpt path
         {
           ck_digest = Farm.Orch.module_digest base;
@@ -941,7 +723,7 @@ let run_procs ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
           ck_limit = cfg.mc_limit;
           ck_tests = List.length suite;
           ck_suite_digest = suite_digest suite;
-          ck_rows = all;
+          ck_rows = sorted ();
         }
   in
   let stopped () =
@@ -949,123 +731,82 @@ let run_procs ~r ~jr ~host ~entry ~suite cfg base ~done_rows ~resumed =
     | None -> false
     | Some n -> Hashtbl.length rows >= n
   in
-  let pending =
-    List.init n_mutants Fun.id
-    |> List.filter (fun id -> not (Hashtbl.mem rows id))
-  in
   let rec rounds round pending =
     if pending = [] || stopped () then ()
     else begin
-      let jobs, rest = deal ~chunk:cfg.mc_chunk pending (alive ()) in
-      collect_round (List.map (fun (w, ids) -> (w, (round, ids))) jobs);
+      let jobs, rest = deal ~chunk:cfg.mc_chunk pending (Supervisor.live sup) in
+      let batches =
+        try
+          Supervisor.collect sup ~round
+            (List.map (fun (id, ids) -> (id, (round, ids))) jobs)
+        with Supervisor.All_retired -> all_retired ()
+      in
+      List.iter
+        (fun (i, f, p, batch) ->
+          incr_links := !incr_links + i;
+          full_links := !full_links + f;
+          patched := !patched + p;
+          List.iter (fun row -> Hashtbl.replace rows row.r_id row) batch;
+          record_counters (Some r) batch;
+          record_rows_events jr batch)
+        batches;
       Recorder.count (Some r) "mutate.rounds";
       publish ();
       rounds (round + 1) rest
     end
   in
-  Fun.protect ~finally:(fun () ->
-      Array.iter
-        (fun w ->
-          if w.pw_retired = None then begin
-            (try Farm.Wire.send w.pw_in Farm.Wire.Shutdown
-             with Farm.Wire.Wire_error _ -> ());
-            (try ignore (Unix.waitpid [] w.pw_pid)
-             with Unix.Unix_error _ -> ());
-            (try Unix.close w.pw_in with Unix.Unix_error _ -> ());
-            try Unix.close w.pw_out.Farm.Wire.rd_fd
-            with Unix.Unix_error _ -> ()
-          end)
-        ws)
-  @@ fun () ->
-  rounds 1 pending;
-  let all =
-    Hashtbl.fold (fun _ row acc -> row :: acc) rows []
-    |> List.sort (fun a b -> compare a.r_id b.r_id)
-  in
-  let matrix = merge_rows ~tests:(List.length suite) all in
+  rounds 1
+    (List.init (Supervisor.units sup) Fun.id
+    |> List.filter (fun id -> not (Hashtbl.mem rows id)));
   (* children quiesce on Shutdown; each (re)boot was a full compile *)
-  let stats =
+  let restarts = Supervisor.restarts sup in
+  ( merge_rows ~tests:(List.length suite) (sorted ()),
     {
-      s_initial_links = nw + !total_restarts;
-      s_full_links = nw + !total_restarts + !full_links;
+      s_initial_links = nw + restarts;
+      s_full_links = nw + restarts + !full_links;
       s_incr_links = !incr_links;
       s_symbols_patched = !patched;
-      s_restarts = !total_restarts;
-      s_retired = List.rev !retired_log;
+      s_restarts = restarts;
+      s_retired = Supervisor.retired sup;
       s_resumed_rows = (if resumed then List.length done_rows else 0);
-    }
-  in
-  (matrix, stats)
+    } )
 
 (* ------------------------------------------------------------------ *)
 (* Procs mode: child                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let worker_main () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  ignore (Support.Fault.init_from_env ());
-  let rd = Farm.Wire.reader Unix.stdin in
-  let send m = Farm.Wire.send Unix.stdout m in
-  let die reason code =
-    (try send (Farm.Wire.Died reason) with _ -> ());
-    exit code
-  in
-  let init =
-    match Farm.Wire.recv rd with
-    | Farm.Wire.Blob { bl_kind = "mutate.init"; bl_data } ->
-      init_of_blob bl_data
-    | _ -> die "protocol violation: expected mutate.init" 64
-    | exception Farm.Wire.Wire_error _ -> exit 65
-  in
-  let m =
-    Ir.Parse.module_of_string ~name:init.wi_mod_name init.wi_mod_text
-  in
-  let st =
-    try
-      mk_wstate ~pool:Support.Pool.serial
-        ~families:(Gen.families_of_spec init.wi_spec)
-        ~limit:init.wi_limit ~entry:init.wi_entry ~host:init.wi_host
-        ~suite:init.wi_suite ~max_steps:init.wi_max_steps
-        ~deadline:init.wi_deadline m
-    with Failure msg -> die msg 3
-  in
-  (try
-     send (ready_blob ~id:init.wi_id ~n_mutants:(Array.length st.ws_mutants))
-   with Farm.Wire.Wire_error _ -> exit 70);
-  let rec serve () =
-    (match Farm.Wire.recv rd with
-    | Farm.Wire.Shutdown ->
-      quiesce st;
-      exit 0
-    | Farm.Wire.Blob { bl_kind = "mutate.assign"; bl_data } -> (
-      let round, ids = assign_of_blob bl_data in
-      try
-        send (Farm.Wire.Heartbeat { hb_round = round; hb_done = 0 });
-        let done_count = ref 0 in
-        let batch =
-          List.map
-            (fun id ->
-              let row = eval_mutant st id in
-              incr done_count;
-              send
-                (Farm.Wire.Heartbeat { hb_round = round; hb_done = !done_count });
-              row)
-            ids
-        in
-        let incr, full, patched = drain_links st in
-        send (rows_blob ~round ~incr ~full ~patched batch)
-      with
-      | Farm.Wire.Wire_error _ ->
-        (* torn send: this process can no longer speak the protocol *)
-        exit 70
-      | Support.Fault.Injected site ->
-        die (Printf.sprintf "injected fault at %s" site) 2
-      | e -> die (Printexc.to_string e) 2)
-    | _ -> die "protocol violation: expected mutate.assign or Shutdown" 64
-    | exception Farm.Wire.Wire_error _ -> exit 65);
-    serve ()
-  in
-  serve ()
+  Supervisor.serve
+    ~boot:(fun m ->
+      Option.map
+        (fun init ->
+          let st =
+            mk_wstate ~pool:Support.Pool.serial
+              ~families:(Gen.families_of_spec init.wi_spec)
+              ~limit:init.wi_limit ~entry:init.wi_entry ~host:init.wi_host
+              ~suite:init.wi_suite ~max_steps:init.wi_max_steps
+              ~deadline:init.wi_deadline
+              (Ir.Parse.module_of_string ~name:init.wi_mod_name init.wi_mod_text)
+          in
+          (st, ready_msg (init.wi_id, Array.length st.ws_mutants)))
+        (init_of_msg m))
+    ~job:(fun st m ->
+      Option.map
+        (fun (round, ids) ->
+          ( round,
+            fun tick ->
+              let batch =
+                List.map
+                  (fun id ->
+                    let row = eval_mutant st id in
+                    tick ();
+                    row)
+                  ids
+              in
+              let incr, full, patched = drain_links st in
+              rows_msg (round, (incr, full, patched, batch)) ))
+        (assign_of_msg m))
+    ~shutdown:quiesce ()
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -1074,16 +815,8 @@ let worker_main () =
 let run ?telemetry ?journal ?journal_path
     ?(host = Workloads.Generate.host_functions) ~entry ~suite cfg base =
   let r = match telemetry with Some r -> r | None -> Recorder.create () in
-  let jr =
-    match (journal, journal_path) with
-    | Some j, _ -> Some j
-    | None, Some _ -> Some (Journal.create ~clock:r.Recorder.clock ())
-    | None, None -> None
-  in
-  let jflush () =
-    match (jr, journal_path) with
-    | Some j, Some p -> Journal.flush j p
-    | _ -> ()
+  let jr, jflush =
+    Journal.for_campaign ?journal ?path:journal_path ~clock:r.Recorder.clock ()
   in
   let done_rows, resumed =
     match (cfg.mc_checkpoint, cfg.mc_resume) with

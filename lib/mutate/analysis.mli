@@ -9,11 +9,14 @@
     compiles.
 
     Two distribution modes, same contract as the fuzzing farm
-    ({!Farm.run} / {!Proc.run}): [Domains] shares one process and one
-    content-addressed object cache; [Procs] supervises stateless child
-    processes with restart/retire and preemptive watchdog. Per-mutant
-    verdicts are pure functions of (mutant, suite), so the merged
-    matrix is bit-identical for any worker count and either mode. *)
+    ({!Farm.run} / {!Farm.Proc.run}): [Domains] shares one process and
+    one content-addressed object cache; [Procs] runs stateless child
+    processes under {!Farm.Supervisor} — the fuzzing farm's own
+    supervisor, with its restart/retire, preemptive watchdog,
+    ["farm.heartbeat"] fault site and [mutate.worker_*] counters.
+    Per-mutant verdicts are pure functions of (mutant, suite), so the
+    merged matrix is bit-identical for any worker count and either
+    mode. *)
 
 (** Per-(mutant, test) outcome: one kill-matrix cell. *)
 type outcome =
@@ -95,6 +98,10 @@ val default_config : config
     [entry]; a pristine baseline run of the whole suite anchors the
     kill comparison.
     @raise Failure when the pristine baseline itself traps or hangs
+    @raise Failure ["mutate: all N workers retired: …"], naming each
+      worker's reason, when every [Procs] worker is retired; rows of
+      rounds completed before that stay in the checkpoint, so a
+      resumed run continues from them
     @raise Invalid_argument when a resume checkpoint targets a
       different module, operator set or suite *)
 val run :

@@ -103,6 +103,15 @@ let render t =
     prefix-dropped window of the campaign so far. *)
 let flush t path = Support.Fsio.write_atomic path (render t)
 
+let for_campaign ?journal ?path ~clock () =
+  let j =
+    match (journal, path) with
+    | Some j, _ -> Some j
+    | None, Some _ -> Some (create ~clock ())
+    | None, None -> None
+  in
+  (j, fun () -> match (j, path) with Some j, Some p -> flush j p | _ -> ())
+
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -34,6 +34,12 @@ val render : t -> string
     failure. *)
 val flush : t -> string -> unit
 
+(** A campaign's journal: [journal] if given, else a fresh one on
+    [clock] when [path] is set, else none — paired with the flush to
+    [path] (a no-op without one) the campaign calls at each barrier. *)
+val for_campaign :
+  ?journal:t -> ?path:string -> clock:Clock.t -> unit -> t option * (unit -> unit)
+
 type loaded = {
   l_events : event list;
   l_dropped : int;  (** from the header *)

@@ -371,6 +371,54 @@ let test_render () =
   Alcotest.(check bool) "per-operator breakdown present" true
     (contains s "per-operator")
 
+(* ---------------- supervision (the fuzz farm's supervisor) ----------- *)
+
+(* no child process is left behind: waitpid finds none to wait for *)
+let check_no_children msg =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | _ -> Alcotest.fail (msg ^ ": a worker process is still alive")
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
+let tiny_procs_cfg () =
+  mk_cfg ~workers:2 ~mode:Analysis.Procs ~limit:24 ~chunk:5 ()
+
+let heartbeat_plan trigger =
+  Support.Fault.plan
+    [ Support.Fault.rule ~trigger "farm.heartbeat" Support.Fault.Raise ]
+
+(* a supervisor-side heartbeat fault SIGKILLs one worker mid-round; it
+   is restarted, re-sent the same mutants, and the matrix is unchanged *)
+let test_procs_watchdog_kill () =
+  let dm, _ = run_tiny ~workers:2 () in
+  let r = Telemetry.Recorder.create () in
+  let pm, stats =
+    Support.Fault.with_plan (heartbeat_plan (Support.Fault.Nth 2)) (fun () ->
+        run ~telemetry:r ~entry:Fuzzer.Campaign.entry (tiny_procs_cfg ())
+          ~suite:tiny_suite
+          (Workloads.Generate.compile tiny))
+  in
+  check_matrix "watchdog kill: procs = domains" dm pm;
+  Alcotest.(check int) "one restart in stats" 1 stats.Analysis.s_restarts;
+  Alcotest.(check int) "one restart counted" 1
+    (Telemetry.Metrics.value
+       (Telemetry.Metrics.counter r.Telemetry.Recorder.metrics
+          "mutate.worker_restarts"))
+
+(* every heartbeat kills its sender: the whole fleet retires, and the
+   campaign fails with a documented Failure, leaving no child behind *)
+let test_all_workers_retired () =
+  let cfg = { (tiny_procs_cfg ()) with Analysis.mc_max_restarts = 1 } in
+  (match
+     Support.Fault.with_plan (heartbeat_plan Support.Fault.Always) (fun () ->
+         run ~entry:Fuzzer.Campaign.entry cfg ~suite:tiny_suite
+           (Workloads.Generate.compile tiny))
+   with
+  | _ -> Alcotest.fail "campaign completed with every worker retired"
+  | exception Failure msg ->
+    Alcotest.(check bool) "message names the retired fleet" true
+      (contains msg "mutate: all 2 workers retired"));
+  check_no_children "after a fully retired fleet"
+
 let () =
   Alcotest.run "mutate"
     [
@@ -412,4 +460,11 @@ let () =
             test_timeout_verdict_procs;
         ] );
       ("report", [ Alcotest.test_case "render" `Quick test_render ]);
+      ( "supervision",
+        [
+          Alcotest.test_case "watchdog kill (procs)" `Quick
+            test_procs_watchdog_kill;
+          Alcotest.test_case "all workers retired" `Quick
+            test_all_workers_retired;
+        ] );
     ]

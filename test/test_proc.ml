@@ -446,6 +446,21 @@ let test_resume_refuses_mismatch () =
   | _ -> Alcotest.fail "domains resume accepted a foreign seed"
   | exception Invalid_argument _ -> ()
 
+(* the probe-count check runs after the fleet has booted: refusing the
+   checkpoint must still shut every worker down *)
+let test_resume_mismatch_reaps_workers () =
+  with_tmp_dir "resume-probes" @@ fun dir ->
+  let path, ck = make_ckpt dir in
+  ignore
+    (Wire.write_checkpoint path
+       { ck with Orch.ck_n_probes = ck.Orch.ck_n_probes + 1 });
+  (match run_proc ~resume:(Wire.read_checkpoint path) (mk_cfg ~execs:40 ()) with
+  | _ -> Alcotest.fail "resume accepted a foreign probe count"
+  | exception Invalid_argument _ -> ());
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | _ -> Alcotest.fail "a worker process outlived the refused resume"
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
 (* ----------------------------------------------------------------------- *)
 
 let () =
@@ -490,5 +505,7 @@ let () =
             test_resume_after_torn_checkpoint;
           Alcotest.test_case "refuses seed mismatch" `Quick
             test_resume_refuses_mismatch;
+          Alcotest.test_case "probe mismatch reaps workers" `Quick
+            test_resume_mismatch_reaps_workers;
         ] );
     ]
