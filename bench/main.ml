@@ -445,10 +445,13 @@ let fig11 cfg =
      Average per-fragment recompilation vs whole-program (paper | measured):\n\
     \  Odin saves                 : paper 97.91%% | measured %5.2f%%\n\
     \  Odin/Max normalized ratio  : paper ~6.5x  | measured %5.1fx\n\
-    \  Odin/Max absolute ms ratio : paper ~15.1x | measured %5.1fx (30.67 ms vs 2.03 ms)\n"
+    \  Odin/Max absolute ms ratio : paper ~15.1x (30.67 vs 2.03 ms) | measured %5.1fx \
+     (%.2f vs %.2f ms)\n"
     (100. *. (1. -. avg Odin.Partition.Auto))
     (avg Odin.Partition.Auto /. avg Odin.Partition.Max)
     (abs_avg Odin.Partition.Auto /. abs_avg Odin.Partition.Max)
+    (1000. *. abs_avg Odin.Partition.Auto)
+    (1000. *. abs_avg Odin.Partition.Max)
 
 let fig12 cfg =
   let rows = List.map (measure_variants cfg) cfg.programs in

@@ -339,8 +339,7 @@ let select (fn : Func.t) =
     }
   in
   List.iteri (fun i b -> Hashtbl.replace ctx.block_ids b.Func.label i) blocks;
-  let use_counts = Func.use_counts fn in
-  let uses n = Option.value ~default:0 (Hashtbl.find_opt use_counts n) in
+  let uses = Func.use_counts fn in
   let defs = Func.def_map fn in
   let vblocks =
     List.mapi

@@ -9,13 +9,14 @@ let successors (b : Func.block) = Ins.successors b.term
 let predecessors (fn : Func.t) =
   let add map label pred =
     let old = Option.value ~default:[] (SMap.find_opt label map) in
-    SMap.add label (old @ [ pred ]) map
+    SMap.add label (pred :: old) map
   in
   List.fold_left
     (fun map b ->
       let map = if SMap.mem b.Func.label map then map else SMap.add b.Func.label [] map in
       List.fold_left (fun map succ -> add map succ b.Func.label) map (successors b))
     SMap.empty fn.Func.blocks
+  |> SMap.map List.rev
 
 (** Labels reachable from the entry block. *)
 let reachable (fn : Func.t) =

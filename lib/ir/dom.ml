@@ -7,11 +7,14 @@ type t = {
   order : Func.block array;  (** reverse post-order *)
   index : int SMap.t;  (** label -> position in [order] *)
   idom : int array;  (** immediate dominator by position; entry points at itself *)
+  preds : int list array;  (** predecessors by position *)
 }
 
 let compute (fn : Func.t) =
-  let order = Array.of_list (List.filter (fun b ->
-      Cfg.SSet.mem b.Func.label (Cfg.reachable fn)) (Cfg.rpo fn))
+  let reachable = Cfg.reachable fn in
+  let order =
+    Array.of_list
+      (List.filter (fun b -> Cfg.SSet.mem b.Func.label reachable) (Cfg.rpo fn))
   in
   let n = Array.length order in
   let index =
@@ -19,11 +22,13 @@ let compute (fn : Func.t) =
     |> List.mapi (fun i b -> (b.Func.label, i))
     |> List.fold_left (fun m (l, i) -> SMap.add l i m) SMap.empty
   in
-  let preds = Cfg.predecessors fn in
-  let preds_of i =
-    let label = order.(i).Func.label in
-    Option.value ~default:[] (SMap.find_opt label preds)
-    |> List.filter_map (fun l -> SMap.find_opt l index)
+  let label_preds = Cfg.predecessors fn in
+  let preds =
+    Array.map
+      (fun b ->
+        Option.value ~default:[] (SMap.find_opt b.Func.label label_preds)
+        |> List.filter_map (fun l -> SMap.find_opt l index))
+      order
   in
   let idom = Array.make (max n 1) (-1) in
   if n > 0 then begin
@@ -37,7 +42,7 @@ let compute (fn : Func.t) =
     while !changed do
       changed := false;
       for i = 1 to n - 1 do
-        let ps = List.filter (fun p -> idom.(p) >= 0) (preds_of i) in
+        let ps = List.filter (fun p -> idom.(p) >= 0) preds.(i) in
         match ps with
         | [] -> ()
         | first :: rest ->
@@ -49,7 +54,7 @@ let compute (fn : Func.t) =
       done
     done
   end;
-  { order; index; idom }
+  { order; index; idom; preds }
 
 let dominates t ~by ~target =
   match (SMap.find_opt by t.index, SMap.find_opt target t.index) with
@@ -58,23 +63,32 @@ let dominates t ~by ~target =
     climb ti
   | _ -> false
 
+(** Dominator-tree children: label -> child labels, in reverse
+    post-order. *)
+let children t =
+  let children = Hashtbl.create 16 in
+  for i = Array.length t.order - 1 downto 1 do
+    let parent = t.order.(t.idom.(i)).Func.label in
+    let old = Option.value ~default:[] (Hashtbl.find_opt children parent) in
+    Hashtbl.replace children parent (t.order.(i).Func.label :: old)
+  done;
+  children
+
 (** Dominance frontier: label -> list of frontier labels. *)
-let frontiers (fn : Func.t) t =
+let frontiers t =
   let n = Array.length t.order in
   let df = Array.make (max n 1) [] in
-  let preds = Cfg.predecessors fn in
   for i = 0 to n - 1 do
-    let label = t.order.(i).Func.label in
-    let ps =
-      Option.value ~default:[] (SMap.find_opt label preds)
-      |> List.filter_map (fun l -> SMap.find_opt l t.index)
-    in
+    let ps = t.preds.(i) in
     if List.length ps >= 2 then
       List.iter
         (fun p ->
           let runner = ref p in
           while !runner <> t.idom.(i) do
-            if not (List.mem i df.(!runner)) then df.(!runner) <- i :: df.(!runner);
+            (* only block [i] adds [i], so a duplicate is always the head *)
+            (match df.(!runner) with
+            | j :: _ when j = i -> ()
+            | l -> df.(!runner) <- i :: l);
             runner := t.idom.(!runner)
           done)
         ps

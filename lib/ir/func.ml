@@ -62,40 +62,78 @@ let map_values f fn =
   in
   List.iter map_block fn.blocks
 
-(** Replace all uses of SSA register [name] with [v]. *)
-let replace_uses fn name v =
-  let subst value =
-    match value with
-    | Ins.Reg (_, n) when String.equal n name -> v
-    | other -> other
-  in
-  map_values subst fn
+(* Batched substitution. A pass records replacements in a table as it
+   rewrites, resolves the operands of each instruction it visits through
+   the table before reading them, and applies the whole batch with one
+   [substitute] at the end — one scan per pass run instead of one per
+   rewrite. *)
 
-(** Fresh SSA name unique within this function, based on [hint]. *)
-let fresh_name fn hint =
+let rec resolve tbl v =
+  match v with
+  | Ins.Reg (_, n) -> (
+    match Hashtbl.find_opt tbl n with
+    | None -> v
+    | Some next ->
+      let final = resolve tbl next in
+      if final != next then Hashtbl.replace tbl n final;
+      final)
+  | _ -> v
+
+let record tbl name v =
+  let v = resolve tbl v in
+  match v with
+  | Ins.Reg (_, n) when String.equal n name -> ()
+  | _ -> Hashtbl.replace tbl name v
+
+let resolve_operands tbl i =
+  if Hashtbl.length tbl > 0 then Ins.map_operands (resolve tbl) i
+
+let resolve_term tbl term =
+  if Hashtbl.length tbl > 0 then Ins.map_term_operands (resolve tbl) term else term
+
+let substitute fn tbl =
+  if Hashtbl.length tbl > 0 then begin
+    map_values (resolve tbl) fn;
+    Hashtbl.reset tbl
+  end
+
+(* Fresh names come from a supply: the names in use, collected once.
+   Every name handed out joins the supply, so one supply serves any
+   number of fresh names while the function is rewritten. *)
+type supply = (string, unit) Hashtbl.t
+
+let name_supply fn : supply =
   let used = Hashtbl.create 64 in
   List.iter (fun (_, p) -> Hashtbl.replace used p ()) fn.params;
   iter_insns (fun i -> if i.Ins.id <> "" then Hashtbl.replace used i.Ins.id ()) fn;
-  if not (Hashtbl.mem used hint) then hint
-  else begin
-    let rec try_n n =
-      let candidate = Printf.sprintf "%s.%d" hint n in
-      if Hashtbl.mem used candidate then try_n (n + 1) else candidate
-    in
-    try_n 1
-  end
+  used
+
+let fresh (used : supply) hint =
+  let name =
+    if not (Hashtbl.mem used hint) then hint
+    else begin
+      let rec try_n n =
+        let candidate = Printf.sprintf "%s.%d" hint n in
+        if Hashtbl.mem used candidate then try_n (n + 1) else candidate
+      in
+      try_n 1
+    end
+  in
+  Hashtbl.replace used name ();
+  name
+
+let fresh_name fn hint = fresh (name_supply fn) hint
 
 let fresh_label fn hint =
   let used = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace used b.label ()) fn.blocks;
-  if not (Hashtbl.mem used hint) then hint
-  else begin
-    let rec try_n n =
-      let candidate = Printf.sprintf "%s.%d" hint n in
-      if Hashtbl.mem used candidate then try_n (n + 1) else candidate
-    in
-    try_n 1
-  end
+  fresh used hint
+
+(** Label -> block table of the function as it is now. *)
+let block_index fn =
+  let index = Hashtbl.create 16 in
+  List.iter (fun b -> Hashtbl.replace index b.label b) fn.blocks;
+  index
 
 (** Map from SSA name to its defining instruction. *)
 let def_map fn =
@@ -105,12 +143,15 @@ let def_map fn =
     fn;
   defs
 
-(** Number of uses of each SSA name within [fn]. *)
+(** Number of uses of each SSA name within [fn], as a lookup (0 for a
+    name never used). *)
 let use_counts fn =
   let counts = Hashtbl.create 64 in
   let bump = function
-    | Ins.Reg (_, n) ->
-      Hashtbl.replace counts n (1 + Option.value ~default:0 (Hashtbl.find_opt counts n))
+    | Ins.Reg (_, n) -> (
+      match Hashtbl.find_opt counts n with
+      | Some c -> incr c
+      | None -> Hashtbl.add counts n (ref 1))
     | _ -> ()
   in
   iter_blocks
@@ -118,4 +159,4 @@ let use_counts fn =
       List.iter (fun i -> List.iter bump (Ins.operands i)) b.insns;
       List.iter bump (Ins.term_operands b.term))
     fn;
-  counts
+  fun n -> match Hashtbl.find_opt counts n with Some c -> !c | None -> 0

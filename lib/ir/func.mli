@@ -51,16 +51,58 @@ val insn_count : t -> int
 (** Apply [f] to every operand of every instruction and terminator. *)
 val map_values : (Ins.value -> Ins.value) -> t -> unit
 
-(** Replace all uses of SSA register [name] with a value. *)
-val replace_uses : t -> string -> Ins.value -> unit
+(** {2 Batched substitution}
 
-(** Fresh SSA name / block label unique within this function. *)
+    A pass collects its replacements in a table (SSA name -> value) and
+    applies them with one {!substitute} at the end of the pass. Until
+    then the IR still names the replaced registers: a pass resolves the
+    operands it reads through the table first. *)
+
+(** Follow a chain of replacements (a -> b -> c) to its end. Chains are
+    compressed as they are followed. *)
+val resolve : (string, Ins.value) Hashtbl.t -> Ins.value -> Ins.value
+
+(** [record tbl name v]: every use of [name] becomes [v], itself resolved
+    through [tbl] first. Replacing a name by itself is ignored. *)
+val record : (string, Ins.value) Hashtbl.t -> string -> Ins.value -> unit
+
+(** [resolve_operands tbl i] rewrites [i]'s operands through [tbl] in
+    place; [resolve_term] returns a terminator with its operands
+    resolved. Both leave their argument alone when [tbl] is empty. *)
+val resolve_operands : (string, Ins.value) Hashtbl.t -> Ins.ins -> unit
+
+val resolve_term : (string, Ins.value) Hashtbl.t -> Ins.term -> Ins.term
+
+(** Rewrite every operand of [fn] through the table in one pass, then
+    empty the table (freed names may be handed out again). *)
+val substitute : t -> (string, Ins.value) Hashtbl.t -> unit
+
+(** {2 Fresh names} *)
+
+(** The names in use in a function, collected once. A pass that needs
+    many fresh names builds one supply and draws from it; the function
+    itself stores nothing. *)
+type supply
+
+(** SSA names: parameters and instruction results. *)
+val name_supply : t -> supply
+
+(** [hint] if unused, else the first unused [hint.N] (N = 1, 2, ...). The
+    name returned is added to the supply. *)
+val fresh : supply -> string -> string
+
+(** Fresh SSA name / block label unique within this function (one
+    whole-function scan per call). *)
 val fresh_name : t -> string -> string
 
 val fresh_label : t -> string -> string
 
+(** Label -> block table of the function as it is now. *)
+val block_index : t -> (string, block) Hashtbl.t
+
 (** Map from SSA name to its defining instruction. *)
 val def_map : t -> (string, Ins.ins) Hashtbl.t
 
-(** Use counts of SSA names within the function. *)
-val use_counts : t -> (string, int) Hashtbl.t
+(** Use counts of SSA names within the function, counted once: the
+    result answers any name (0 when unused). *)
+val use_counts : t -> string -> int

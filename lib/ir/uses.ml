@@ -53,28 +53,32 @@ let referencers (m : Modul.t) =
 let referencers_of table name =
   Option.value ~default:SSet.empty (Hashtbl.find_opt table name)
 
-(** Call sites of function [callee] across the module: (caller, ins) list. *)
-let call_sites (m : Modul.t) callee =
-  let sites = ref [] in
+(** Call sites of every function across the module, by callee name:
+    (caller, ins) lists in module order. One scan answers all callees. *)
+let call_sites (m : Modul.t) =
+  let sites = Hashtbl.create 16 in
   List.iter
     (fun (f : Func.t) ->
       Func.iter_insns
         (fun i ->
           match i.Ins.kind with
-          | Ins.Call (Ins.Direct name, _) when String.equal name callee ->
-            sites := (f, i) :: !sites
+          | Ins.Call (Ins.Direct callee, _) ->
+            let old = Option.value ~default:[] (Hashtbl.find_opt sites callee) in
+            Hashtbl.replace sites callee ((f, i) :: old)
           | _ -> ())
         f)
     (Modul.defined_functions m);
-  List.rev !sites
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) sites;
+  sites
 
-(** Is the symbol's address taken other than via direct calls? Functions
-    whose address escapes cannot have their signature rewritten by
-    dead-argument elimination. *)
-let address_taken (m : Modul.t) name =
-  let taken = ref false in
+(** Symbols whose address is taken other than via direct calls.
+    Functions whose address escapes cannot have their signature
+    rewritten by dead-argument elimination. One scan answers all
+    symbols. *)
+let address_taken (m : Modul.t) =
+  let taken = ref SSet.empty in
   let check_value = function
-    | Ins.Global g when String.equal g name -> taken := true
+    | Ins.Global g -> taken := SSet.add g !taken
     | _ -> ()
   in
   List.iter
@@ -91,10 +95,10 @@ let address_taken (m : Modul.t) name =
               b.Func.insns;
             List.iter check_value (Ins.term_operands b.Func.term))
           f
-      | Modul.Var v ->
-        (match v.Modul.ginit with
-        | Modul.Symbols ss -> if List.mem name ss then taken := true
+      | Modul.Var v -> (
+        match v.Modul.ginit with
+        | Modul.Symbols ss -> List.iter (fun s -> taken := SSet.add s !taken) ss
         | _ -> ())
-      | Modul.Alias a -> if String.equal a.Modul.atarget name then taken := true)
+      | Modul.Alias a -> taken := SSet.add a.Modul.atarget !taken)
     (Modul.globals m);
   !taken

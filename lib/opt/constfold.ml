@@ -47,10 +47,10 @@ let fold_ins (i : Ins.ins) =
 (* When a fold deletes the CFG edge pred->succ, the phis in succ must drop
    the corresponding arm, otherwise codegen would insert a copy on a
    nonexistent edge. *)
-let remove_phi_edge (fn : Func.t) ~pred ~succ =
-  match Func.find_block fn succ with
+let remove_phi_edge block_of ~pred ~succ =
+  match Hashtbl.find_opt block_of succ with
   | None -> ()
-  | Some b ->
+  | Some (b : Func.block) ->
     List.iter
       (fun (i : Ins.ins) ->
         match i.Ins.kind with
@@ -63,28 +63,33 @@ let remove_phi_edge (fn : Func.t) ~pred ~succ =
 let run_function _ctx (fn : Func.t) =
   let changed = ref false in
   let continue_ = ref true in
+  (* folded result -> its constant; applied after each sweep *)
+  let subst = Hashtbl.create 16 in
   while !continue_ do
     continue_ := false;
+    let block_of = Func.block_index fn in
     List.iter
       (fun (b : Func.block) ->
         let kept = ref [] in
         List.iter
           (fun (i : Ins.ins) ->
+            Func.resolve_operands subst i;
             match fold_ins i with
             | Some v ->
-              Func.replace_uses fn i.Ins.id v;
+              Func.record subst i.Ins.id v;
               changed := true;
               continue_ := true
             | None -> kept := i :: !kept)
           b.Func.insns;
         b.Func.insns <- List.rev !kept;
         (* Fold constant terminators. *)
+        b.Func.term <- Func.resolve_term subst b.Func.term;
         (match b.Func.term with
         | Ins.Cbr (Ins.Const (_, c), t, f) ->
           let taken, dropped = if c <> 0L then (t, f) else (f, t) in
           b.Func.term <- Ins.Br taken;
           if not (String.equal taken dropped) then
-            remove_phi_edge fn ~pred:b.Func.label ~succ:dropped;
+            remove_phi_edge block_of ~pred:b.Func.label ~succ:dropped;
           changed := true;
           continue_ := true
         | Ins.Cbr (_, t, f) when String.equal t f ->
@@ -100,13 +105,14 @@ let run_function _ctx (fn : Func.t) =
           List.iter
             (fun l ->
               if not (String.equal l target) then
-                remove_phi_edge fn ~pred:b.Func.label ~succ:l)
+                remove_phi_edge block_of ~pred:b.Func.label ~succ:l)
             all_targets;
           b.Func.term <- Ins.Br target;
           changed := true;
           continue_ := true
         | _ -> ()))
       fn.Func.blocks;
+    Func.substitute fn subst;
     if !continue_ then begin
       (* branch folding may strand blocks; drop them so phis stay sane *)
       ignore (Cfg.remove_unreachable fn)

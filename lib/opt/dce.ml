@@ -4,32 +4,65 @@
 
 open Ir
 
+(* Worklist DCE: count uses once, then delete count-zero instructions,
+   decrementing their operands' counts and deleting any definition whose
+   count drops to zero. Reaches the same fixpoint as re-counting after
+   every deletion sweep, in one pass. *)
 let run_function _ctx (fn : Func.t) =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let uses = Func.use_counts fn in
-    let used n = Option.value ~default:0 (Hashtbl.find_opt uses n) > 0 in
+  let all = Array.of_list (List.concat_map (fun (b : Func.block) -> b.Func.insns) fn.Func.blocks) in
+  let def = Hashtbl.create 64 and uses = Hashtbl.create 64 in
+  Array.iteri (fun k (i : Ins.ins) -> if i.Ins.id <> "" then Hashtbl.replace def i.Ins.id k) all;
+  let bump = function
+    | Ins.Reg (_, n) -> (
+      match Hashtbl.find_opt uses n with
+      | Some c -> incr c
+      | None -> Hashtbl.add uses n (ref 1))
+    | _ -> ()
+  in
+  Array.iter (fun i -> List.iter bump (Ins.operands i)) all;
+  List.iter (fun (b : Func.block) -> List.iter bump (Ins.term_operands b.Func.term)) fn.Func.blocks;
+  let unused n = match Hashtbl.find_opt uses n with Some c -> !c = 0 | None -> true in
+  let dead = Array.make (Array.length all) false in
+  let work = Stack.create () in
+  Array.iteri
+    (fun k (i : Ins.ins) ->
+      if (not (Ins.has_side_effect i)) && (i.Ins.id = "" || unused i.Ins.id) then
+        Stack.push k work)
+    all;
+  while not (Stack.is_empty work) do
+    let k = Stack.pop work in
+    if not dead.(k) then begin
+      dead.(k) <- true;
+      List.iter
+        (function
+          | Ins.Reg (_, n) -> (
+            match Hashtbl.find_opt uses n with
+            | Some c ->
+              decr c;
+              if !c = 0 then (
+                match Hashtbl.find_opt def n with
+                | Some d when not (Ins.has_side_effect all.(d)) -> Stack.push d work
+                | _ -> ())
+            | None -> ())
+          | _ -> ())
+        (Ins.operands all.(k))
+    end
+  done;
+  let changed = Array.exists Fun.id dead in
+  if changed then begin
+    let k = ref 0 in
     List.iter
       (fun (b : Func.block) ->
-        let kept =
+        b.Func.insns <-
           List.filter
-            (fun (i : Ins.ins) ->
-              let dead =
-                (not (Ins.has_side_effect i)) && (i.Ins.id = "" || not (used i.Ins.id))
-              in
-              if dead then begin
-                changed := true;
-                continue_ := true
-              end;
-              not dead)
-            b.Func.insns
-        in
-        b.Func.insns <- kept)
+            (fun _ ->
+              let keep = not dead.(!k) in
+              incr k;
+              keep)
+            b.Func.insns)
       fn.Func.blocks
-  done;
-  !changed
+  end;
+  changed
 
 let function_pass = Pass.function_pass "dce" run_function
 

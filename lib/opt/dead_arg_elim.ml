@@ -23,13 +23,17 @@ let used_params (f : Func.t) =
 let run (ctx : Pass.ctx) =
   let m = ctx.Pass.modul in
   let changed = ref false in
+  (* module scans shared by every candidate; neither answer changes
+     while the pass rewrites call arguments *)
+  let address_taken = lazy (Uses.address_taken m) in
+  let call_sites = lazy (Uses.call_sites m) in
   let candidates =
     List.filter
       (fun (f : Func.t) ->
         f.Func.linkage = Func.Internal
         && (not (Func.is_declaration f))
         && f.Func.params <> []
-        && not (Uses.address_taken m f.Func.name))
+        && not (Uses.SSet.mem f.Func.name (Lazy.force address_taken)))
       (Modul.defined_functions m)
   in
   List.iter
@@ -43,7 +47,9 @@ let run (ctx : Pass.ctx) =
         let keep_positions =
           List.mapi (fun i (_, p) -> (i, Hashtbl.mem used p)) f.Func.params
         in
-        let sites = Uses.call_sites m f.Func.name in
+        let sites =
+          Option.value ~default:[] (Hashtbl.find_opt (Lazy.force call_sites) f.Func.name)
+        in
         (* All callers must be in the module (internal linkage guarantees
            it) — rewrite function signature and every call site. *)
         f.Func.params <- List.filter (fun (_, p) -> Hashtbl.mem used p) f.Func.params;

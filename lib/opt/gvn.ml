@@ -8,14 +8,15 @@ open Ir
 
 (* A structural key for a pure instruction. *)
 let key_of_value = function
-  | Ins.Const (ty, v) -> Printf.sprintf "c%s:%Ld" (Types.to_string ty) v
+  | Ins.Const (ty, v) -> String.concat "" [ "c"; Types.to_string ty; ":"; Int64.to_string v ]
   | Ins.Reg (_, n) -> "r" ^ n
   | Ins.Global g -> "g" ^ g
-  | Ins.Blockaddr (f, l) -> Printf.sprintf "b%s:%s" f l
+  | Ins.Blockaddr (f, l) -> String.concat "" [ "b"; f; ":"; l ]
   | Ins.Undef _ -> "u"
 
 let key_of_ins (i : Ins.ins) =
-  let vs vals = String.concat "," (List.map key_of_value vals) in
+  let key parts = Some (String.concat ":" parts) in
+  let ty = Types.to_string i.Ins.ty in
   match i.Ins.kind with
   | Ins.Binop (op, a, b) ->
     (* normalize commutative operand order *)
@@ -26,26 +27,21 @@ let key_of_ins (i : Ins.ins) =
         if String.compare ka kb <= 0 then (ka, kb) else (kb, ka)
       | _ -> (ka, kb)
     in
-    Some
-      (Printf.sprintf "bin:%s:%s:%s:%s" (Ins.binop_to_string op)
-         (Types.to_string i.Ins.ty) ka kb)
+    key [ "bin"; Ins.binop_to_string op; ty; ka; kb ]
   | Ins.Icmp (p, a, b) ->
-    Some
-      (Printf.sprintf "icmp:%s:%s:%s" (Ins.icmp_to_string p) (key_of_value a)
-         (key_of_value b))
-  | Ins.Select (c, a, b) -> Some ("sel:" ^ vs [ c; a; b ])
-  | Ins.Cast (c, a) ->
-    Some
-      (Printf.sprintf "cast:%s:%s:%s" (Ins.cast_to_string c)
-         (Types.to_string i.Ins.ty) (key_of_value a))
-  | Ins.Gep (a, b, sz) -> Some (Printf.sprintf "gep:%s:%d" (vs [ a; b ]) sz)
+    key [ "icmp"; Ins.icmp_to_string p; key_of_value a; key_of_value b ]
+  | Ins.Select (c, a, b) ->
+    Some ("sel:" ^ String.concat "," (List.map key_of_value [ c; a; b ]))
+  | Ins.Cast (c, a) -> key [ "cast"; Ins.cast_to_string c; ty; key_of_value a ]
+  | Ins.Gep (a, b, sz) ->
+    key [ "gep"; key_of_value a ^ "," ^ key_of_value b; string_of_int sz ]
   | Ins.Load _ | Ins.Store _ | Ins.Call _ | Ins.Phi _ | Ins.Alloca _ -> None
 
 (* loads get separate, block-local numbering *)
 let load_key (i : Ins.ins) =
   match i.Ins.kind with
   | Ins.Load p ->
-    Some (Printf.sprintf "load:%s:%s" (Types.to_string i.Ins.ty) (key_of_value p))
+    Some (String.concat ":" [ "load"; Types.to_string i.Ins.ty; key_of_value p ])
   | _ -> None
 
 let is_memory_barrier (i : Ins.ins) =
@@ -59,27 +55,23 @@ let run_function _ctx (fn : Func.t) =
   else begin
     let changed = ref false in
     let dom = Dom.compute fn in
-    (* dominator-tree children by label *)
-    let children = Hashtbl.create 16 in
-    Array.iteri
-      (fun i _ ->
-        if i > 0 then begin
-          let parent = dom.Dom.order.(dom.Dom.idom.(i)).Func.label in
-          let old = Option.value ~default:[] (Hashtbl.find_opt children parent) in
-          Hashtbl.replace children parent (old @ [ dom.Dom.order.(i).Func.label ])
-        end)
-      dom.Dom.order;
-    let block_of = Hashtbl.create 16 in
-    Func.iter_blocks (fun b -> Hashtbl.replace block_of b.Func.label b) fn;
-    let rec walk label (avail : Ins.value SMap.t) =
+    let children = Dom.children dom in
+    let block_of = Func.block_index fn in
+    (* replaced result -> its leader; applied once at the end *)
+    let subst = Hashtbl.create 16 in
+    (* expressions available in the dominators of the block being
+       walked: a block's additions are removed when its subtree is done *)
+    let avail = Hashtbl.create 64 in
+    let rec walk label =
       match Hashtbl.find_opt block_of label with
       | None -> ()
       | Some b ->
-        let avail = ref avail in
+        let added = ref [] in
         let loads = ref SMap.empty in
         let kept = ref [] in
         List.iter
           (fun (i : Ins.ins) ->
+            Func.resolve_operands subst i;
             if is_memory_barrier i then begin
               loads := SMap.empty;
               kept := i :: !kept
@@ -87,20 +79,22 @@ let run_function _ctx (fn : Func.t) =
             else
               match key_of_ins i with
               | Some key -> (
-                match SMap.find_opt key !avail with
+                match Hashtbl.find_opt avail key with
                 | Some v when i.Ins.id <> "" ->
-                  Func.replace_uses fn i.Ins.id v;
+                  Func.record subst i.Ins.id v;
                   changed := true
                 | _ ->
-                  if i.Ins.id <> "" then
-                    avail := SMap.add key (Ins.Reg (i.Ins.ty, i.Ins.id)) !avail;
+                  if i.Ins.id <> "" then begin
+                    Hashtbl.add avail key (Ins.Reg (i.Ins.ty, i.Ins.id));
+                    added := key :: !added
+                  end;
                   kept := i :: !kept)
               | None -> (
                 match load_key i with
                 | Some key -> (
                   match SMap.find_opt key !loads with
                   | Some v when i.Ins.id <> "" ->
-                    Func.replace_uses fn i.Ins.id v;
+                    Func.record subst i.Ins.id v;
                     changed := true
                   | _ ->
                     if i.Ins.id <> "" then
@@ -109,11 +103,11 @@ let run_function _ctx (fn : Func.t) =
                 | None -> kept := i :: !kept))
           b.Func.insns;
         b.Func.insns <- List.rev !kept;
-        List.iter
-          (fun child -> walk child !avail)
-          (Option.value ~default:[] (Hashtbl.find_opt children label))
+        List.iter walk (Option.value ~default:[] (Hashtbl.find_opt children label));
+        List.iter (Hashtbl.remove avail) !added
     in
-    walk (List.hd fn.Func.blocks).Func.label SMap.empty;
+    walk (List.hd fn.Func.blocks).Func.label;
+    Func.substitute fn subst;
     !changed
   end
 

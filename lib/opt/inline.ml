@@ -19,24 +19,6 @@ let is_recursive (f : Func.t) =
     f;
   !rec_
 
-let has_blockaddr_of (m : Modul.t) (f : Func.t) =
-  let found = ref false in
-  let scan = function
-    | Ins.Blockaddr (g, _) when String.equal g f.Func.name -> found := true
-    | _ -> ()
-  in
-  List.iter
-    (function
-      | Modul.Fun g ->
-        Func.iter_blocks
-          (fun b ->
-            List.iter (fun i -> List.iter scan (Ins.operands i)) b.Func.insns;
-            List.iter scan (Ins.term_operands b.Func.term))
-          g
-      | _ -> ())
-    (Modul.globals m);
-  !found
-
 (* Cost model: probes are volatile and count double, so instrumented
    callees inline less readily — this is precisely how instrument-first
    "leaves less room for optimization" (Section 2.2). *)
@@ -48,196 +30,225 @@ let inline_cost (f : Func.t) =
     (List.length f.Func.blocks)
     f
 
-let should_inline (m : Modul.t) (caller : Func.t) (callee : Func.t) ~threshold =
+(* Whether [callee] may be inlined into any other function.
+   [address_taken] is {!Cfg.address_taken_map} of the module, built once
+   per pass run (asking per candidate rescans the module: quadratic).
+   Inlining never creates a [Blockaddr] naming a new function, so the
+   map can only be conservative for the rest of the run. *)
+let inlinable address_taken (callee : Func.t) ~threshold =
   (not (Func.is_declaration callee))
-  && (not (String.equal caller.Func.name callee.Func.name))
   && (not (is_recursive callee))
   && inline_cost callee <= threshold
-  && not (has_blockaddr_of m callee)
+  && not (Hashtbl.mem (Lazy.force address_taken) callee.Func.name)
 
-(* Inline one call site. [call_ins] must be a direct call belonging to
-   [caller]. Returns true on success. *)
-let inline_site (caller : Func.t) (callee : Func.t) (call_ins : Ins.ins) =
-  (* locate the block and split it at the call *)
-  let host =
-    List.find_opt
-      (fun (b : Func.block) -> List.memq call_ins b.Func.insns)
-      caller.Func.blocks
+(* Inline one call site: [call_ins], a direct call with arguments
+   [args] in block [host] of [caller]. Returns the caller's blocks after
+   [host], the inlined body first. *)
+let inline_site (caller : Func.t) (callee : Func.t) (host : Func.block)
+    (call_ins : Ins.ins) args =
+  (* Pick a prefix such that no existing label or register starts with
+     it — repeated inlining of the same callee must not collide. Only
+     names under "inl." can clash: collect those and their dotted
+     prefixes once, then test candidates against the set. *)
+  let prefix =
+    let taken = Hashtbl.create 16 in
+    let note name =
+      if String.starts_with ~prefix:"inl." name then begin
+        Hashtbl.replace taken name ();
+        String.iteri
+          (fun k c ->
+            if c = '.' && k < String.length name - 1 then
+              Hashtbl.replace taken (String.sub name 0 k) ())
+          name
+      end
+    in
+    Func.iter_blocks (fun b -> note b.Func.label) caller;
+    Func.iter_insns (fun i -> if i.Ins.id <> "" then note i.Ins.id) caller;
+    let rec pick n =
+      let candidate = Printf.sprintf "inl.%s.%d" callee.Func.name n in
+      if Hashtbl.mem taken candidate then pick (n + 1) else candidate
+    in
+    pick 0
   in
-  match (host, call_ins.Ins.kind) with
-  | Some host, Ins.Call (Ins.Direct _, args) ->
-    (* Pick a prefix such that no existing label or register starts with
-       it — repeated inlining of the same callee must not collide. *)
-    let prefix =
-      let taken = Hashtbl.create 64 in
-      Func.iter_blocks (fun b -> Hashtbl.replace taken b.Func.label ()) caller;
-      Func.iter_insns
-        (fun i -> if i.Ins.id <> "" then Hashtbl.replace taken i.Ins.id ())
-        caller;
-      let starts_with p =
-        Hashtbl.fold
-          (fun name () acc ->
-            acc
-            || String.length name > String.length p
-               && String.sub name 0 (String.length p) = p)
-          taken false
-      in
-      let rec pick n =
-        let candidate = Printf.sprintf "inl.%s.%d" callee.Func.name n in
-        if starts_with (candidate ^ ".") || Hashtbl.mem taken candidate then
-          pick (n + 1)
-        else candidate
-      in
-      pick 0
+  let rename_label l = prefix ^ "." ^ l in
+  let rename_reg r = prefix ^ "." ^ r in
+  (* clone callee body with renamed registers and labels *)
+  let param_map = Hashtbl.create 8 in
+  List.iteri
+    (fun idx (_, p) ->
+      match List.nth_opt args idx with
+      | Some a -> Hashtbl.replace param_map p a
+      | None -> Hashtbl.replace param_map p (Ins.Undef Types.I64))
+    callee.Func.params;
+  let map_value = function
+    | Ins.Reg (ty, n) -> (
+      match Hashtbl.find_opt param_map n with
+      | Some a -> a
+      | None -> Ins.Reg (ty, rename_reg n))
+    | v -> v
+  in
+  let clone_ins (i : Ins.ins) =
+    let copy = { i with Ins.id = (if i.Ins.id = "" then "" else rename_reg i.Ins.id) } in
+    Ins.map_operands map_value copy;
+    (match copy.Ins.kind with
+    | Ins.Phi incoming ->
+      copy.Ins.kind <- Ins.Phi (List.map (fun (l, v) -> (rename_label l, v)) incoming)
+    | _ -> ());
+    copy
+  in
+  let cont_label = Func.fresh_label caller (host.Func.label ^ ".cont") in
+  let rets = ref [] in
+  let clone_block (b : Func.block) =
+    let insns = List.map clone_ins b.Func.insns in
+    let term =
+      match b.Func.term with
+      | Ins.Ret v ->
+        let v = Option.map map_value v in
+        rets := (rename_label b.Func.label, v) :: !rets;
+        Ins.Br cont_label
+      | Ins.Br l -> Ins.Br (rename_label l)
+      | Ins.Cbr (c, a, b2) -> Ins.Cbr (map_value c, rename_label a, rename_label b2)
+      | Ins.Switch (v, d, cases) ->
+        Ins.Switch
+          (map_value v, rename_label d, List.map (fun (k, l) -> (k, rename_label l)) cases)
+      | Ins.Unreachable -> Ins.Unreachable
     in
-    let rename_label l = prefix ^ "." ^ l in
-    let rename_reg r = prefix ^ "." ^ r in
-    (* clone callee body with renamed registers and labels *)
-    let param_map = Hashtbl.create 8 in
-    List.iteri
-      (fun idx (_, p) ->
-        match List.nth_opt args idx with
-        | Some a -> Hashtbl.replace param_map p a
-        | None -> Hashtbl.replace param_map p (Ins.Undef Types.I64))
-      callee.Func.params;
-    let map_value = function
-      | Ins.Reg (ty, n) -> (
-        match Hashtbl.find_opt param_map n with
-        | Some a -> a
-        | None -> Ins.Reg (ty, rename_reg n))
-      | v -> v
-    in
-    let clone_ins (i : Ins.ins) =
-      let copy = { i with Ins.id = (if i.Ins.id = "" then "" else rename_reg i.Ins.id) } in
-      Ins.map_operands map_value copy;
-      (match copy.Ins.kind with
-      | Ins.Phi incoming ->
-        copy.Ins.kind <- Ins.Phi (List.map (fun (l, v) -> (rename_label l, v)) incoming)
-      | _ -> ());
-      copy
-    in
-    let cont_label = Func.fresh_label caller (host.Func.label ^ ".cont") in
-    let rets = ref [] in
-    let clone_block (b : Func.block) =
-      let insns = List.map clone_ins b.Func.insns in
-      let term =
-        match b.Func.term with
-        | Ins.Ret v ->
-          let v = Option.map map_value v in
-          rets := (rename_label b.Func.label, v) :: !rets;
-          Ins.Br cont_label
-        | Ins.Br l -> Ins.Br (rename_label l)
-        | Ins.Cbr (c, a, b2) -> Ins.Cbr (map_value c, rename_label a, rename_label b2)
-        | Ins.Switch (v, d, cases) ->
-          Ins.Switch
-            (map_value v, rename_label d, List.map (fun (k, l) -> (k, rename_label l)) cases)
-        | Ins.Unreachable -> Ins.Unreachable
-      in
-      { Func.label = rename_label b.Func.label; insns; term }
-    in
-    let body = List.map clone_block callee.Func.blocks in
-    (* split the host block *)
-    let rec split acc = function
-      | [] -> (List.rev acc, [])
-      | i :: rest when i == call_ins -> (List.rev acc, rest)
-      | i :: rest -> split (i :: acc) rest
-    in
-    let before, after = split [] host.Func.insns in
-    let cont = { Func.label = cont_label; insns = after; term = host.Func.term } in
-    (* successors' phis must now name cont instead of host *)
-    List.iter
-      (fun succ ->
-        match Func.find_block caller succ with
-        | None -> ()
-        | Some sb ->
-          List.iter
-            (fun (i : Ins.ins) ->
-              match i.Ins.kind with
-              | Ins.Phi incoming ->
-                i.Ins.kind <-
-                  Ins.Phi
-                    (List.map
-                       (fun (l, v) ->
-                         if String.equal l host.Func.label then (cont_label, v) else (l, v))
-                       incoming)
-              | _ -> ())
-            sb.Func.insns)
-      (Ins.successors host.Func.term);
-    let entry_label =
-      match body with
-      | [] -> cont_label
-      | b :: _ -> b.Func.label
-    in
-    host.Func.insns <- before;
-    host.Func.term <- Ins.Br entry_label;
-    (* splice first: replace_uses below must see the continuation block *)
-    let rec insert_after = function
-      | [] -> []
-      | b :: rest when b == host -> (b :: body) @ (cont :: rest)
-      | b :: rest -> b :: insert_after rest
-    in
-    caller.Func.blocks <- insert_after caller.Func.blocks;
-    (* return value: single ret -> direct substitution; else a phi *)
-    (if call_ins.Ins.id <> "" then
-       match !rets with
-       | [] -> Func.replace_uses caller call_ins.Ins.id (Ins.Undef call_ins.Ins.ty)
-       | [ (_, Some v) ] -> Func.replace_uses caller call_ins.Ins.id v
-       | [ (_, None) ] ->
-         Func.replace_uses caller call_ins.Ins.id (Ins.Undef call_ins.Ins.ty)
-       | many ->
-         let phi =
-           Ins.mk
-             ~id:(Func.fresh_name caller (call_ins.Ins.id ^ ".ret"))
-             ~ty:call_ins.Ins.ty
-             (Ins.Phi
-                (List.rev_map
-                   (fun (l, v) ->
-                     (l, Option.value ~default:(Ins.Undef call_ins.Ins.ty) v))
-                   many))
-         in
-         cont.Func.insns <- phi :: cont.Func.insns;
-         Func.replace_uses caller call_ins.Ins.id (Ins.Reg (phi.Ins.ty, phi.Ins.id)));
-    true
-  | _ -> false
+    { Func.label = rename_label b.Func.label; insns; term }
+  in
+  let body = List.map clone_block callee.Func.blocks in
+  (* split the host block *)
+  let rec split acc = function
+    | [] -> (List.rev acc, [])
+    | i :: rest when i == call_ins -> (List.rev acc, rest)
+    | i :: rest -> split (i :: acc) rest
+  in
+  let before, after = split [] host.Func.insns in
+  let cont = { Func.label = cont_label; insns = after; term = host.Func.term } in
+  (* successors' phis must now name cont instead of host *)
+  List.iter
+    (fun succ ->
+      match Func.find_block caller succ with
+      | None -> ()
+      | Some sb ->
+        List.iter
+          (fun (i : Ins.ins) ->
+            match i.Ins.kind with
+            | Ins.Phi incoming ->
+              i.Ins.kind <-
+                Ins.Phi
+                  (List.map
+                     (fun (l, v) ->
+                       if String.equal l host.Func.label then (cont_label, v) else (l, v))
+                     incoming)
+            | _ -> ())
+          sb.Func.insns)
+    (Ins.successors host.Func.term);
+  let entry_label =
+    match body with
+    | [] -> cont_label
+    | b :: _ -> b.Func.label
+  in
+  host.Func.insns <- before;
+  host.Func.term <- Ins.Br entry_label;
+  (* splice first: the substitution below must see the continuation block *)
+  let rec insert_after = function
+    | [] -> []
+    | b :: rest when b == host -> (b :: body) @ (cont :: rest)
+    | b :: rest -> b :: insert_after rest
+  in
+  caller.Func.blocks <- insert_after caller.Func.blocks;
+  (* return value: single ret -> direct substitution; else a phi *)
+  let subst = Hashtbl.create 1 in
+  (if call_ins.Ins.id <> "" then
+     match !rets with
+     | [] | [ (_, None) ] ->
+       Func.record subst call_ins.Ins.id (Ins.Undef call_ins.Ins.ty)
+     | [ (_, Some v) ] -> Func.record subst call_ins.Ins.id v
+     | many ->
+       let phi =
+         Ins.mk
+           ~id:(Func.fresh_name caller (call_ins.Ins.id ^ ".ret"))
+           ~ty:call_ins.Ins.ty
+           (Ins.Phi
+              (List.rev_map
+                 (fun (l, v) ->
+                   (l, Option.value ~default:(Ins.Undef call_ins.Ins.ty) v))
+                 many))
+       in
+       cont.Func.insns <- phi :: cont.Func.insns;
+       Func.record subst call_ins.Ins.id (Ins.Reg (phi.Ins.ty, phi.Ins.id)));
+  (* the next site may clone this caller's body: apply now *)
+  Func.substitute caller subst;
+  let rec after_host = function
+    | [] -> []
+    | b :: rest -> if b == host then rest else after_host rest
+  in
+  after_host caller.Func.blocks
 
+(* Inline the first eligible call site (functions in module order, then
+   block and instruction order), repeatedly. After inlining into [C] the
+   search resumes right after the host block, where the inlined body
+   now starts: every earlier site was ineligible, and only [C]'s own
+   eligibility can have changed (its size and calls did). Should [C]
+   have turned inlinable, calls to it may now be eligible anywhere, so
+   the search starts over from the top. Eligibility is memoized per
+   callee and dropped when the callee is inlined into. *)
 let run ?(threshold = default_threshold) (ctx : Pass.ctx) =
   let m = ctx.Pass.modul in
+  let address_taken = lazy (Cfg.address_taken_map m) in
+  let eligible = Hashtbl.create 16 in
+  let inlinable_memo (f : Func.t) =
+    match Hashtbl.find_opt eligible f.Func.name with
+    | Some ok -> ok
+    | None ->
+      let ok = inlinable address_taken f ~threshold in
+      Hashtbl.replace eligible f.Func.name ok;
+      ok
+  in
+  let site_in (caller : Func.t) blocks =
+    List.find_map
+      (fun (b : Func.block) ->
+        List.find_map
+          (fun (i : Ins.ins) ->
+            match i.Ins.kind with
+            | Ins.Call (Ins.Direct callee_name, args) when not i.Ins.volatile -> (
+              match Modul.find_func m callee_name with
+              | Some callee
+                when (not (String.equal caller.Func.name callee.Func.name))
+                     && inlinable_memo callee ->
+                Some (callee, b, i, args)
+              | _ -> None)
+            | _ -> None)
+          b.Func.insns)
+      blocks
+  in
+  (* [blocks]: where to resume in the first function of [fns] *)
+  let rec search fns blocks =
+    match fns with
+    | [] -> None
+    | (caller : Func.t) :: later -> (
+      match site_in caller (Option.value ~default:caller.Func.blocks blocks) with
+      | Some (callee, host, i, args) -> Some (caller, callee, host, i, args, later)
+      | None -> search later None)
+  in
+  let all = Modul.defined_functions m in
   let changed = ref false in
-  let budget = ref 5000 in
-  (* bottom-up-ish: repeat until no more profitable sites *)
-  let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    continue_ := false;
-    let site =
-      List.find_map
-        (fun (caller : Func.t) ->
-          let found = ref None in
-          Func.iter_insns
-            (fun i ->
-              if !found = None then
-                match i.Ins.kind with
-                | Ins.Call (Ins.Direct callee_name, _) -> (
-                  match Modul.find_func m callee_name with
-                  | Some callee
-                    when (not i.Ins.volatile)
-                         && should_inline m caller callee ~threshold ->
-                    found := Some (caller, callee, i)
-                  | _ -> ())
-                | _ -> ())
-            caller;
-          !found)
-        (Modul.defined_functions m)
-    in
-    match site with
-    | None -> ()
-    | Some (caller, callee, call_ins) ->
-      if inline_site caller callee call_ins then begin
-        Pass.log_bond ctx caller.Func.name callee.Func.name "inline";
-        changed := true;
-        continue_ := true;
-        decr budget
-      end
-  done;
+  let rec go budget found =
+    match found with
+    | Some (caller, callee, host, call_ins, args, later) when budget > 0 ->
+      let was = inlinable_memo caller in
+      let rest = inline_site caller callee host call_ins args in
+      Pass.log_bond ctx caller.Func.name callee.Func.name "inline";
+      changed := true;
+      Hashtbl.remove eligible caller.Func.name;
+      let next =
+        if (not was) && inlinable_memo caller then search all None
+        else search (caller :: later) (Some rest)
+      in
+      go (budget - 1) next
+    | _ -> ()
+  in
+  go 5000 (search all None);
   !changed
 
 let pass = Pass.mk "inline" (fun ctx -> run ctx)

@@ -111,7 +111,7 @@ let const_global_word (m : Modul.t) g ty index =
    through zext-to-i32 and re-tests them with [icmp ne x, 0]; folding the
    test back to the original i1 re-exposes the two-comparison diamond the
    range fold (Figure 2) looks for. *)
-let fold_bool_test defs (i : Ins.ins) =
+let fold_bool_test defs subst (i : Ins.ins) =
   if i.Ins.volatile then None
   else
     match i.Ins.kind with
@@ -119,6 +119,7 @@ let fold_bool_test defs (i : Ins.ins) =
       match Hashtbl.find_opt defs y with
       | Some ({ Ins.kind = Ins.Cast (Ins.Zext, src); volatile = false; _ } : Ins.ins)
         when Ins.value_ty src = Types.I1 -> (
+        let src = Func.resolve subst src in
         match pred with
         | Ins.Ne -> Some (`Value src)
         | Ins.Eq -> Some (`Negate src)
@@ -127,8 +128,9 @@ let fold_bool_test defs (i : Ins.ins) =
     | _ -> None
 
 (* Fold [load (gep @g, K)] when @g is a constant global. Needs a def map to
-   see through the gep. Logs Copy-on-use on success. *)
-let fold_const_load ctx (fn : Func.t) defs (i : Ins.ins) =
+   see through the gep (whose operands are read through [subst]). Logs
+   Copy-on-use on success. *)
+let fold_const_load ctx (fn : Func.t) defs subst (i : Ins.ins) =
   if i.Ins.volatile then None
   else
     match i.Ins.kind with
@@ -144,21 +146,25 @@ let fold_const_load ctx (fn : Func.t) defs (i : Ins.ins) =
           Some (Ins.Const (ty, Types.normalize ty w))
         | None -> None))
     | Ins.Load (Ins.Reg (_, p)) -> (
+      let resolve = Func.resolve subst in
       match Hashtbl.find_opt defs p with
-      | Some ({ Ins.kind = Ins.Gep (Ins.Global g, Ins.Const (_, idx), sz); _ } : Ins.ins)
-        -> (
-        let fold =
-          match i.Ins.ty with
-          | Types.I8 when sz = 1 -> const_global_byte ctx.Pass.modul g (Int64.to_int idx)
-          | ty when Types.size_of ty = sz ->
-            const_global_word ctx.Pass.modul g ty (Int64.to_int idx)
-          | _ -> None
-        in
-        match fold with
-        | Some w ->
-          Pass.log_copy ctx fn.Func.name g "const-load";
-          Some (Ins.Const (i.Ins.ty, Types.normalize i.Ins.ty w))
-        | None -> None)
+      | Some ({ Ins.kind = Ins.Gep (base, index, sz); _ } : Ins.ins) -> (
+        match (resolve base, resolve index) with
+        | Ins.Global g, Ins.Const (_, idx) -> (
+          let fold =
+            match i.Ins.ty with
+            | Types.I8 when sz = 1 ->
+              const_global_byte ctx.Pass.modul g (Int64.to_int idx)
+            | ty when Types.size_of ty = sz ->
+              const_global_word ctx.Pass.modul g ty (Int64.to_int idx)
+            | _ -> None
+          in
+          match fold with
+          | Some w ->
+            Pass.log_copy ctx fn.Func.name g "const-load";
+            Some (Ins.Const (i.Ins.ty, Types.normalize i.Ins.ty w))
+          | None -> None)
+        | _ -> None)
       | _ -> None)
     | _ -> None
 
@@ -217,12 +223,23 @@ let printf_to_puts ctx (fn : Func.t) =
 (*   end:  %r = phi i1 [false,bb1],[%c2,bb2]                           *)
 (* ------------------------------------------------------------------ *)
 
-let range_fold (fn : Func.t) =
+(* The function facts both range folds read, built with one scan each;
+   rebuilt only when a fold changed the function. *)
+type facts = {
+  preds : string list Cfg.SMap.t;
+  uses : string -> int;
+  block_of : (string, Func.block) Hashtbl.t;
+}
+
+let facts fn =
+  { preds = Cfg.predecessors fn; uses = Func.use_counts fn; block_of = Func.block_index fn }
+
+let range_fold (fn : Func.t) { preds; uses; block_of } =
   let changed = ref false in
-  let preds = Cfg.predecessors fn in
-  let use_counts = Func.use_counts fn in
-  let uses n = Option.value ~default:0 (Hashtbl.find_opt use_counts n) in
-  let find_block l = Func.find_block fn l in
+  let find_block l = Hashtbl.find_opt block_of l in
+  let names = lazy (Func.name_supply fn) in
+  (* folded phi -> the new range test; applied once at the end *)
+  let subst = Hashtbl.create 8 in
   List.iter
     (fun (bb1 : Func.block) ->
       match bb1.Func.term with
@@ -270,8 +287,8 @@ let range_fold (fn : Func.t) =
                 | Some (Ins.Const (Types.I1, 0L)), Some (Ins.Reg (Types.I1, c2'))
                   when String.equal c2' c2 && Int64.compare hi lo >= 0 ->
                   (* Perform the rewrite inside bb1. *)
-                  let off_name = Func.fresh_name fn "offset" in
-                  let res_name = Func.fresh_name fn "inrange" in
+                  let off_name = Func.fresh (Lazy.force names) "offset" in
+                  let res_name = Func.fresh (Lazy.force names) "inrange" in
                   let add_ins =
                     Ins.mk ~id:off_name ~ty
                       (Ins.Binop (Ins.Add, x, Ins.Const (ty, Types.normalize ty (Int64.neg lo))))
@@ -287,7 +304,7 @@ let range_fold (fn : Func.t) =
                     @ [ add_ins; cmp_ins ];
                   bb1.Func.term <- Ins.Br end_l;
                   (* mid becomes dead; phi is replaced by the new icmp *)
-                  Func.replace_uses fn phi.Ins.id (Ins.Reg (Types.I1, res_name));
+                  Func.record subst phi.Ins.id (Ins.Reg (Types.I1, res_name));
                   end_b.Func.insns <-
                     List.filter (fun (i : Ins.ins) -> i != phi) end_b.Func.insns;
                   changed := true
@@ -297,6 +314,7 @@ let range_fold (fn : Func.t) =
         | _ -> ())
       | _ -> ())
     fn.Func.blocks;
+  Func.substitute fn subst;
   if !changed then ignore (Cfg.remove_unreachable fn);
   !changed
 
@@ -312,13 +330,11 @@ let range_fold (fn : Func.t) =
    uses of both comparisons, and no phis that would need merging in the
    targets (T gains the edge from bb1 instead of mid; F loses one of its
    two edges). *)
-let range_fold_branches (fn : Func.t) =
+let range_fold_branches (fn : Func.t) { preds; uses; block_of } =
   let changed = ref false in
-  let preds = Cfg.predecessors fn in
-  let use_counts = Func.use_counts fn in
-  let uses n = Option.value ~default:0 (Hashtbl.find_opt use_counts n) in
+  let names = lazy (Func.name_supply fn) in
   let has_phis label =
-    match Func.find_block fn label with
+    match Hashtbl.find_opt block_of label with
     | Some b ->
       List.exists
         (fun (i : Ins.ins) ->
@@ -330,7 +346,7 @@ let range_fold_branches (fn : Func.t) =
     (fun (bb1 : Func.block) ->
       match bb1.Func.term with
       | Ins.Cbr (Ins.Reg (Types.I1, c1), mid_l, f_l) -> (
-        match Func.find_block fn mid_l with
+        match Hashtbl.find_opt block_of mid_l with
         | Some mid
           when (not (String.equal mid_l f_l))
                && Option.value ~default:[] (Cfg.SMap.find_opt mid_l preds)
@@ -365,8 +381,8 @@ let range_fold_branches (fn : Func.t) =
                  && not (String.equal t_l mid_l) ->
             let hi = match up with Ins.Slt -> Int64.sub hi_c 1L | _ -> hi_c in
             if Int64.compare hi lo >= 0 then begin
-              let off_name = Func.fresh_name fn "offset" in
-              let res_name = Func.fresh_name fn "inrange" in
+              let off_name = Func.fresh (Lazy.force names) "offset" in
+              let res_name = Func.fresh (Lazy.force names) "inrange" in
               let add_ins =
                 Ins.mk ~id:off_name ~ty
                   (Ins.Binop
@@ -398,19 +414,22 @@ let range_fold_branches (fn : Func.t) =
 let run_function ctx (fn : Func.t) =
   let changed = ref false in
   let defs = Func.def_map fn in
+  (* simplified result -> its value; applied before the CFG folds *)
+  let subst = Hashtbl.create 16 in
   List.iter
     (fun (b : Func.block) ->
       let kept = ref [] in
       List.iter
         (fun (i : Ins.ins) ->
+          Func.resolve_operands subst i;
           match if i.Ins.volatile then None else simplify_value i with
           | Some v ->
-            Func.replace_uses fn i.Ins.id v;
+            Func.record subst i.Ins.id v;
             changed := true
           | None -> (
-            match fold_bool_test defs i with
+            match fold_bool_test defs subst i with
             | Some (`Value v) ->
-              Func.replace_uses fn i.Ins.id v;
+              Func.record subst i.Ins.id v;
               changed := true
             | Some (`Negate v) ->
               (* (zext x) == 0  ~~>  x xor 1 *)
@@ -419,9 +438,9 @@ let run_function ctx (fn : Func.t) =
               changed := true;
               kept := i :: !kept
             | None -> (
-              match fold_const_load ctx fn defs i with
+              match fold_const_load ctx fn defs subst i with
               | Some v ->
-                Func.replace_uses fn i.Ins.id v;
+                Func.record subst i.Ins.id v;
                 changed := true
               | None ->
                 if strength_reduce i then changed := true;
@@ -429,9 +448,12 @@ let run_function ctx (fn : Func.t) =
         b.Func.insns;
       b.Func.insns <- List.rev !kept)
     fn.Func.blocks;
+  Func.substitute fn subst;
   if printf_to_puts ctx fn then changed := true;
-  if range_fold fn then changed := true;
-  if range_fold_branches fn then changed := true;
+  let before = facts fn in
+  let folded = range_fold fn before in
+  if folded then changed := true;
+  if range_fold_branches fn (if folded then facts fn else before) then changed := true;
   !changed
 
 let pass = Pass.function_pass "instcombine" run_function

@@ -63,61 +63,81 @@ let constant_target (blk : Func.block) pred =
     | None -> None)
   | _ -> None
 
-(* Can we safely clone [blk] for one predecessor? All successor-phi arm
-   values for blk must be substitutable (constants/globals/blk-defined). *)
-let clone_safe (fn : Func.t) (blk : Func.block) =
-  let defined_in_blk = Hashtbl.create 8 in
-  List.iter
-    (fun (i : Ins.ins) ->
-      if i.Ins.id <> "" then Hashtbl.replace defined_in_blk i.Ins.id ())
-    blk.Func.insns;
-  (* values defined in blk may escape only through successor-phi arms for
-     blk's edge (where the clone contributes its own arm); any direct use
-     in another block would be unreachable from the clone *)
-  let escapes_directly =
-    List.exists
-      (fun (b : Func.block) ->
-        (not (b == blk))
-        && (List.exists
-              (fun (i : Ins.ins) ->
-                match i.Ins.kind with
-                | Ins.Phi incoming ->
-                  (* arms for other predecessors must not name blk defs *)
-                  List.exists
-                    (fun (l, v) ->
-                      (not (String.equal l blk.Func.label))
-                      &&
-                      match v with
-                      | Ins.Reg (_, n) -> Hashtbl.mem defined_in_blk n
-                      | _ -> false)
-                    incoming
-                | _ ->
-                  List.exists
-                    (function
-                      | Ins.Reg (_, n) -> Hashtbl.mem defined_in_blk n
-                      | _ -> false)
-                    (Ins.operands i))
-              b.Func.insns
-           || List.exists
-                (function
-                  | Ins.Reg (_, n) -> Hashtbl.mem defined_in_blk n
-                  | _ -> false)
-                (Ins.term_operands b.Func.term)))
-      fn.Func.blocks
+(* Labels of the blocks whose definitions escape: a definition used
+   directly in another block, anywhere but in a successor-phi arm for
+   the defining block's own edge (where a clone contributes its own
+   arm). Such a use would be unreachable from a clone. One scan answers
+   the question for every block. *)
+let escaping_blocks (fn : Func.t) def_block =
+  let escaping = Hashtbl.create 16 in
+  let defined_elsewhere user = function
+    | Ins.Reg (_, n) -> (
+      match Hashtbl.find_opt def_block n with
+      | Some d when not (String.equal d user) -> Some d
+      | _ -> None)
+    | _ -> None
   in
-  (not escapes_directly)
+  let note user v =
+    Option.iter (fun d -> Hashtbl.replace escaping d ()) (defined_elsewhere user v)
+  in
+  List.iter
+    (fun (b : Func.block) ->
+      let user = b.Func.label in
+      List.iter
+        (fun (i : Ins.ins) ->
+          match i.Ins.kind with
+          | Ins.Phi incoming ->
+            List.iter
+              (fun (l, v) ->
+                match defined_elsewhere user v with
+                | Some d when not (String.equal d l) -> Hashtbl.replace escaping d ()
+                | _ -> ())
+              incoming
+          | _ -> List.iter (note user) (Ins.operands i))
+        b.Func.insns;
+      List.iter (note user) (Ins.term_operands b.Func.term))
+    fn.Func.blocks;
+  escaping
+
+(* The function's indices for one threading step, built with one scan
+   and dropped after the step. *)
+type index = {
+  block_of : (string, Func.block) Hashtbl.t;
+  def_block : (string, string) Hashtbl.t;  (** name -> defining block *)
+  escaping : (string, unit) Hashtbl.t;
+}
+
+let index (fn : Func.t) =
+  let def_block = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Func.block) ->
+      List.iter
+        (fun (i : Ins.ins) ->
+          if i.Ins.id <> "" then Hashtbl.replace def_block i.Ins.id b.Func.label)
+        b.Func.insns)
+    fn.Func.blocks;
+  { block_of = Func.block_index fn; def_block; escaping = escaping_blocks fn def_block }
+
+(* Can we safely clone [blk] for one predecessor? Its definitions must not
+   escape, and all successor-phi arm values for blk must be substitutable
+   (constants/globals/blk-defined). *)
+let clone_safe ix (blk : Func.block) =
+  let defined_in_blk n =
+    Option.equal String.equal (Hashtbl.find_opt ix.def_block n) (Some blk.Func.label)
+  in
+  (not (Hashtbl.mem ix.escaping blk.Func.label))
   && List.for_all
     (fun succ_l ->
-      match Func.find_block fn succ_l with
+      match Hashtbl.find_opt ix.block_of succ_l with
       | None -> false
-      | Some succ ->
+      | Some (succ : Func.block) ->
         List.for_all
           (fun (i : Ins.ins) ->
             match i.Ins.kind with
             | Ins.Phi incoming -> (
               match List.assoc_opt blk.Func.label incoming with
               | None -> true
-              | Some (Ins.Reg (_, n)) -> Hashtbl.mem defined_in_blk n
+              | Some (Ins.Reg (_, n)) -> defined_in_blk n
               | Some (Ins.Const _ | Ins.Global _ | Ins.Undef _ | Ins.Blockaddr _) ->
                 true)
             | _ -> true)
@@ -125,8 +145,9 @@ let clone_safe (fn : Func.t) (blk : Func.block) =
     (Ins.successors blk.Func.term)
 
 (* Clone [blk] specialized for predecessor [pred]. *)
-let specialize (fn : Func.t) (blk : Func.block) pred =
+let specialize (fn : Func.t) ix (blk : Func.block) pred =
   let clone_label = Func.fresh_label fn (blk.Func.label ^ ".thread") in
+  let names = Func.name_supply fn in
   (* phi names resolve to the pred's arm value; other blk-defined names
      get fresh clones *)
   let subst : (string, Ins.value) Hashtbl.t = Hashtbl.create 8 in
@@ -155,7 +176,7 @@ let specialize (fn : Func.t) (blk : Func.block) pred =
           let new_id =
             if i.Ins.id = "" then ""
             else begin
-              let n = Func.fresh_name fn (i.Ins.id ^ ".th") in
+              let n = Func.fresh names (i.Ins.id ^ ".th") in
               Hashtbl.replace subst i.Ins.id (Ins.Reg (i.Ins.ty, n));
               n
             end
@@ -171,9 +192,9 @@ let specialize (fn : Func.t) (blk : Func.block) pred =
   (* successors gain an arm for the clone (the blk arm, substituted) *)
   List.iter
     (fun succ_l ->
-      match Func.find_block fn succ_l with
+      match Hashtbl.find_opt ix.block_of succ_l with
       | None -> ()
-      | Some succ ->
+      | Some (succ : Func.block) ->
         List.iter
           (fun (i : Ins.ins) ->
             match i.Ins.kind with
@@ -186,7 +207,7 @@ let specialize (fn : Func.t) (blk : Func.block) pred =
           succ.Func.insns)
     (Ins.successors blk.Func.term);
   (* retarget the predecessor and drop its arm from blk's phis *)
-  (match Func.find_block fn pred with
+  (match Hashtbl.find_opt ix.block_of pred with
   | None -> ()
   | Some pb ->
     let fix l = if String.equal l blk.Func.label then clone_label else l in
@@ -214,6 +235,7 @@ let run_function _ctx (fn : Func.t) =
   while !continue_ && !budget > 0 do
     continue_ := false;
     let preds = Cfg.predecessors fn in
+    let ix = index fn in
     let entry_label =
       match fn.Func.blocks with [] -> "" | e :: _ -> e.Func.label
     in
@@ -222,7 +244,7 @@ let run_function _ctx (fn : Func.t) =
         (fun (blk : Func.block) ->
           if String.equal blk.Func.label entry_label then None
           else if List.mem blk.Func.label (Ins.successors blk.Func.term) then None
-          else if not (clone_safe fn blk) then None
+          else if not (clone_safe ix blk) then None
           else
             let ps =
               Option.value ~default:[] (Cfg.SMap.find_opt blk.Func.label preds)
@@ -239,7 +261,7 @@ let run_function _ctx (fn : Func.t) =
     in
     match candidate with
     | Some (blk, pred) ->
-      ignore (specialize fn blk pred);
+      ignore (specialize fn ix blk pred);
       decr budget;
       changed := true;
       continue_ := true;

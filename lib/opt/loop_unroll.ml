@@ -220,12 +220,14 @@ let unroll (fn : Func.t) (blk : Func.block) preheader t =
   (* uses of loop-defined values outside the loop refer to the final
      iteration; exit-block phi arms from the loop are relabelled *)
   let final_env = !env in
+  let subst = Hashtbl.create 16 in
   List.iter
     (fun r ->
       match SMap.find_opt r final_env with
-      | Some v -> Func.replace_uses fn r v
+      | Some v -> Func.record subst r v
       | None -> ())
     defined;
+  Func.substitute fn subst;
   (match Func.find_block fn exit_label with
   | Some eb ->
     List.iter

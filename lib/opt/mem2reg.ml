@@ -53,7 +53,7 @@ let run_function _ctx (fn : Func.t) =
     if Hashtbl.length allocas = 0 then false
     else begin
       let dom = Dom.compute fn in
-      let frontiers = Dom.frontiers fn dom in
+      let frontiers = Dom.frontiers dom in
       (* Blocks that store to each alloca. *)
       let store_blocks = Hashtbl.create 16 in
       Func.iter_blocks
@@ -73,6 +73,7 @@ let run_function _ctx (fn : Func.t) =
       let phis : (string, (string, Ins.ins) Hashtbl.t) Hashtbl.t =
         Hashtbl.create 16 (* block label -> (alloca -> phi ins) *)
       in
+      let names = Func.name_supply fn in
       let phi_for label alloca ty =
         let per_block =
           match Hashtbl.find_opt phis label with
@@ -86,11 +87,10 @@ let run_function _ctx (fn : Func.t) =
         | Some p -> (p, false)
         | None ->
           (* include the block label: phis for the same alloca in
-             different blocks need distinct names, and the pending ones
-             are not yet visible to [fresh_name] *)
+             different blocks get distinct names *)
           let p =
             Ins.mk
-              ~id:(Func.fresh_name fn (Printf.sprintf "%s.phi.%s" alloca label))
+              ~id:(Func.fresh names (Printf.sprintf "%s.phi.%s" alloca label))
               ~ty (Ins.Phi [])
           in
           Hashtbl.replace per_block alloca p;
@@ -118,22 +118,22 @@ let run_function _ctx (fn : Func.t) =
                 fr
           done)
         allocas;
-      (* Renaming walk over the dominator tree. *)
+      (* Renaming walk over the dominator tree. Phi arms are consed as
+         the walk reaches each edge and put in order when the phis are
+         materialized. *)
       let preds = Cfg.predecessors fn in
-      let children = Hashtbl.create 16 in
-      Array.iteri
-        (fun i _ ->
-          if i > 0 then begin
-            let parent = dom.Dom.order.(dom.Dom.idom.(i)).Func.label in
-            let old = Option.value ~default:[] (Hashtbl.find_opt children parent) in
-            Hashtbl.replace children parent (old @ [ dom.Dom.order.(i).Func.label ])
-          end)
-        dom.Dom.order;
-      let block_of = Hashtbl.create 16 in
-      Func.iter_blocks (fun b -> Hashtbl.replace block_of b.Func.label b) fn;
+      let children = Dom.children dom in
+      let block_of = Func.block_index fn in
+      (* promoted load -> the value it read; applied once at the end *)
+      let subst = Hashtbl.create 64 in
       let rec rename label (env : Ins.value SMap.t) =
         let b = Hashtbl.find block_of label in
         let env = ref env in
+        let current alloca ty =
+          match SMap.find_opt alloca !env with
+          | Some v -> Func.resolve subst v
+          | None -> Ins.Undef ty
+        in
         (* incoming phis define new values *)
         (match Hashtbl.find_opt phis label with
         | None -> ()
@@ -141,41 +141,15 @@ let run_function _ctx (fn : Func.t) =
           Hashtbl.iter
             (fun alloca (p : Ins.ins) -> env := SMap.add alloca (Ins.Reg (p.Ins.ty, p.Ins.id)) !env)
             per_block);
-        let subst = function
-          | Ins.Reg (_, _) as v -> v
-          | v -> v
-        in
-        ignore subst;
         let kept = ref [] in
         List.iter
           (fun (i : Ins.ins) ->
             match i.Ins.kind with
             | Ins.Alloca _ when Hashtbl.mem allocas i.Ins.id -> ()
             | Ins.Store (v, Ins.Reg (_, a)) when Hashtbl.mem allocas a ->
-              let v =
-                match v with
-                | Ins.Reg (ty, n) -> (
-                  match SMap.find_opt n !env with
-                  | Some _ when Hashtbl.mem allocas n -> Ins.Reg (ty, n)
-                  | _ -> v)
-                | _ -> v
-              in
               env := SMap.add a v !env
             | Ins.Load (Ins.Reg (_, a)) when Hashtbl.mem allocas a ->
-              let current =
-                match SMap.find_opt a !env with
-                | Some v -> v
-                | None -> Ins.Undef i.Ins.ty
-              in
-              Func.replace_uses fn i.Ins.id current;
-              (* Also update the environment values already captured. *)
-              env :=
-                SMap.map
-                  (fun v ->
-                    match v with
-                    | Ins.Reg (_, n) when String.equal n i.Ins.id -> current
-                    | v -> v)
-                  !env
+              Func.record subst i.Ins.id (current a i.Ins.ty)
             | _ -> kept := i :: !kept)
           b.Func.insns;
         b.Func.insns <- List.rev !kept;
@@ -187,15 +161,9 @@ let run_function _ctx (fn : Func.t) =
             | Some per_block ->
               Hashtbl.iter
                 (fun alloca (p : Ins.ins) ->
-                  let v =
-                    match SMap.find_opt alloca !env with
-                    | Some v -> v
-                    | None -> Ins.Undef p.Ins.ty
-                  in
                   match p.Ins.kind with
-                  | Ins.Phi incoming ->
-                    if not (List.exists (fun (l, _) -> String.equal l label) incoming)
-                    then p.Ins.kind <- Ins.Phi (incoming @ [ (label, v) ])
+                  | Ins.Phi arms ->
+                    p.Ins.kind <- Ins.Phi ((label, current alloca p.Ins.ty) :: arms)
                   | _ -> ())
                 per_block)
           (Cfg.successors b);
@@ -222,18 +190,22 @@ let run_function _ctx (fn : Func.t) =
             List.iter
               (fun (p : Ins.ins) ->
                 match p.Ins.kind with
-                | Ins.Phi incoming ->
+                | Ins.Phi arms ->
+                  let reached = Hashtbl.create 8 in
+                  List.iter (fun (l, _) -> Hashtbl.replace reached l ()) arms;
                   let missing =
-                    List.filter
-                      (fun pl -> not (List.exists (fun (l, _) -> String.equal l pl) incoming))
+                    List.filter_map
+                      (fun l ->
+                        if Hashtbl.mem reached l then None
+                        else Some (l, Ins.Undef p.Ins.ty))
                       pred_labels
                   in
-                  p.Ins.kind <-
-                    Ins.Phi (incoming @ List.map (fun l -> (l, Ins.Undef p.Ins.ty)) missing)
+                  p.Ins.kind <- Ins.Phi (List.rev_append arms missing)
                 | _ -> ())
               new_phis;
             b.Func.insns <- new_phis @ b.Func.insns)
         phis;
+      Func.substitute fn subst;
       true
     end
   end

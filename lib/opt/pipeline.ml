@@ -18,7 +18,11 @@
     top-level mutable state (gensym counters, scratch tables, memo
     caches) — Session.rebuild depends on this to compile fragments in
     parallel. Callers running concurrently must pass distinct
-    recorders (see [Telemetry.Recorder.fork]).
+    recorders (see [Telemetry.Recorder.fork]). Passes keep their
+    indices local (name supplies, label and def tables, substitution
+    tables are built per run and dropped), and the IR carries no
+    caches: [Ir.Func.t] holds nothing a pass did not put in the
+    program.
 
     Memoization lives one level up, not here: the pipeline is a pure
     function of its input module (given the round bound), so

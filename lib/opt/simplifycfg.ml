@@ -5,85 +5,88 @@
 
 open Ir
 
-(* Merge b into its unique successor s when b is s's unique predecessor.
-   Phis in s are resolved to their single arm. *)
+(* Merge b's unique successor s into b when b is s's unique predecessor.
+   Phis in s are resolved to their single arm.
+
+   One walk in block order: a block absorbs successors while it can,
+   then the walk moves on. A merge only renames s to b in the
+   predecessor lists of s's successors (their lengths stay the same), so
+   no block the walk has passed becomes mergeable again, and the merges
+   happen in the order a restart-from-the-top search would find them.
+   The predecessor map and the label table are kept in step with the
+   merges instead of being rebuilt after each one. *)
 let merge_pairs (fn : Func.t) protected =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let preds = Cfg.predecessors fn in
-    let entry_label =
-      match fn.Func.blocks with [] -> "" | e :: _ -> e.Func.label
-    in
-    let candidate =
-      List.find_opt
-        (fun (b : Func.block) ->
-          match b.Func.term with
-          | Ins.Br succ_l when not (String.equal succ_l b.Func.label) -> (
-            match Cfg.SMap.find_opt succ_l preds with
-            | Some [ only_pred ]
-              when String.equal only_pred b.Func.label
-                   && (not (String.equal succ_l entry_label))
-                   && not (Cfg.SSet.mem succ_l protected) ->
-              true
-            | _ -> false)
-          | _ -> false)
-        fn.Func.blocks
-    in
-    match candidate with
-    | None -> ()
-    | Some b -> (
-      match b.Func.term with
-      | Ins.Br succ_l -> (
-        match Func.find_block fn succ_l with
+  let entry_label = match fn.Func.blocks with [] -> "" | e :: _ -> e.Func.label in
+  let preds = ref (Cfg.predecessors fn) in
+  let block_of = Func.block_index fn in
+  let merged = Hashtbl.create 16 in
+  (* resolved phi -> its single arm; applied once at the end *)
+  let subst = Hashtbl.create 16 in
+  let mergeable (b : Func.block) =
+    match b.Func.term with
+    | Ins.Br succ_l when not (String.equal succ_l b.Func.label) -> (
+      match Cfg.SMap.find_opt succ_l !preds with
+      | Some [ only_pred ]
+        when String.equal only_pred b.Func.label
+             && (not (String.equal succ_l entry_label))
+             && not (Cfg.SSet.mem succ_l protected) ->
+        Hashtbl.find_opt block_of succ_l
+      | _ -> None)
+    | _ -> None
+  in
+  let absorb (b : Func.block) (s : Func.block) =
+    (* Resolve phis in s: single predecessor, take that arm. *)
+    List.iter
+      (fun (i : Ins.ins) ->
+        match i.Ins.kind with
+        | Ins.Phi incoming -> (
+          match List.assoc_opt b.Func.label incoming with
+          | Some v -> Func.record subst i.Ins.id v
+          | None -> ())
+        | _ -> ())
+      s.Func.insns;
+    b.Func.term <- s.Func.term;
+    (* successors of s now flow from b: rename phi arms and preds *)
+    let rename l = if String.equal l s.Func.label then b.Func.label else l in
+    List.iter
+      (fun succ2 ->
+        preds := Cfg.SMap.update succ2 (Option.map (List.map rename)) !preds;
+        match Hashtbl.find_opt block_of succ2 with
         | None -> ()
-        | Some s ->
-          (* Resolve phis in s: single predecessor, take that arm. *)
+        | Some blk ->
           List.iter
             (fun (i : Ins.ins) ->
               match i.Ins.kind with
-              | Ins.Phi incoming -> (
-                match List.assoc_opt b.Func.label incoming with
-                | Some v -> Func.replace_uses fn i.Ins.id v
-                | None -> ())
+              | Ins.Phi incoming ->
+                i.Ins.kind <- Ins.Phi (List.map (fun (l, v) -> (rename l, v)) incoming)
               | _ -> ())
-            s.Func.insns;
-          let non_phi =
-            List.filter
-              (fun (i : Ins.ins) ->
-                match i.Ins.kind with Ins.Phi _ -> false | _ -> true)
-              s.Func.insns
-          in
-          b.Func.insns <- b.Func.insns @ non_phi;
-          b.Func.term <- s.Func.term;
-          (* successors of s now flow from b: rename phi arms *)
-          List.iter
-            (fun succ2 ->
-              match Func.find_block fn succ2 with
-              | None -> ()
-              | Some blk ->
-                List.iter
-                  (fun (i : Ins.ins) ->
-                    match i.Ins.kind with
-                    | Ins.Phi incoming ->
-                      i.Ins.kind <-
-                        Ins.Phi
-                          (List.map
-                             (fun (l, v) ->
-                               if String.equal l s.Func.label then (b.Func.label, v)
-                               else (l, v))
-                             incoming)
-                    | _ -> ())
-                  blk.Func.insns)
-            (Ins.successors s.Func.term);
-          fn.Func.blocks <-
-            List.filter (fun (blk : Func.block) -> blk != s) fn.Func.blocks;
-          changed := true;
-          continue_ := true)
-      | _ -> ())
-  done;
-  !changed
+            blk.Func.insns)
+      (Ins.successors s.Func.term);
+    Hashtbl.replace merged s.Func.label ();
+    List.filter
+      (fun (i : Ins.ins) -> match i.Ins.kind with Ins.Phi _ -> false | _ -> true)
+      s.Func.insns
+  in
+  List.iter
+    (fun (b : Func.block) ->
+      if not (Hashtbl.mem merged b.Func.label) then begin
+        (* the absorbed bodies, last first: appended once *)
+        let rec chain tails =
+          match mergeable b with
+          | Some s -> chain (absorb b s :: tails)
+          | None -> tails
+        in
+        match chain [] with
+        | [] -> ()
+        | tails -> b.Func.insns <- List.concat (b.Func.insns :: List.rev tails)
+      end)
+    fn.Func.blocks;
+  let changed = Hashtbl.length merged > 0 in
+  if changed then
+    fn.Func.blocks <-
+      List.filter (fun (b : Func.block) -> not (Hashtbl.mem merged b.Func.label)) fn.Func.blocks;
+  Func.substitute fn subst;
+  changed
 
 (* Forward jumps through empty blocks that only contain "br %next" and no
    phis; predecessors retarget, phi arms in the target are re-labelled. *)
@@ -103,9 +106,10 @@ let skip_empty (fn : Func.t) protected =
       fn.Func.blocks
   in
   let preds = Cfg.predecessors fn in
+  let block_of = Func.block_index fn in
   List.iter
     (fun (empty_l, target_l) ->
-      match Func.find_block fn target_l with
+      match Hashtbl.find_opt block_of target_l with
       | None -> ()
       | Some target ->
         (* Retargeting is only safe w.r.t. phis when target's phi arms can
@@ -139,7 +143,7 @@ let skip_empty (fn : Func.t) protected =
           in
           List.iter
             (fun p ->
-              match Func.find_block fn p with
+              match Hashtbl.find_opt block_of p with
               | None -> ()
               | Some pb -> pb.Func.term <- retarget pb.Func.term)
             empty_preds;

@@ -209,7 +209,7 @@ let test_dom_frontier () =
   let m = parse diamond_src in
   let f = Option.get (Ir.Modul.find_func m "f") in
   let dom = Ir.Dom.compute f in
-  let df = Ir.Dom.frontiers f dom in
+  let df = Ir.Dom.frontiers dom in
   let pos_df = Ir.Dom.SMap.find "pos" df in
   Alcotest.(check (list string)) "pos frontier is join" [ "join" ] pos_df
 

@@ -794,6 +794,100 @@ int f(int x) {
       Ir.Verify.run_exn m2;
       interp m1 "f" [ Int64.of_int x ] = interp m2 "f" [ Int64.of_int x ])
 
+(* ---------------- golden IR (bit-identity oracle) ---------------- *)
+
+(* MD5 of the printed module after the whole-program pipeline and after
+   the fragment pipeline, per workload profile. Optimizer refactors must
+   leave every byte of output (names included) unchanged: Shash memo
+   keys, phi order and codegen all hang off it. *)
+let golden_ir =
+  [
+    ( Workloads.Profile.find_exn "sqlite",
+      "e9bef1c10101b03c8c0f22a77c994edc",
+      "e9bef1c10101b03c8c0f22a77c994edc" );
+    ( Workloads.Profile.find_exn "json",
+      "a886cb00c394398156dd26e1ba779192",
+      "a886cb00c394398156dd26e1ba779192" );
+    ( Workloads.Profile.tiny,
+      "67d205cb82aefce378f4d93755a2a222",
+      "67d205cb82aefce378f4d93755a2a222" );
+  ]
+
+let ir_digest m = Digest.to_hex (Digest.string (Ir.Print.module_to_string m))
+
+let test_golden_ir () =
+  List.iter
+    (fun ((profile : Workloads.Profile.t), whole, fragment) ->
+      let name = profile.Workloads.Profile.name in
+      let m = Workloads.Generate.compile profile in
+      ignore (Opt.Pipeline.run ~keep:[ "target_main" ] m);
+      Alcotest.(check string) (name ^ " pipeline digest") whole (ir_digest m);
+      let m = Workloads.Generate.compile profile in
+      ignore (Opt.Pipeline.run_fragment m);
+      Alcotest.(check string) (name ^ " fragment digest") fragment (ir_digest m))
+    golden_ir
+
+(* ---------------- size scaling (work, not wall time) ---------------- *)
+
+(* One function of [k] if/else diamonds, each updating two locals: the
+   shape mem2reg turns into phi chains and gvn/jump-threading walk. *)
+let diamonds_src k =
+  let buf = Buffer.create (k * 96) in
+  Buffer.add_string buf "int f(int x) {\n  int a = x;\n  int b = 1;\n";
+  for i = 1 to k do
+    Printf.bprintf buf
+      "  if (a > %d) { a = a - %d; b = b + a; } else { a = a + %d; b = b * %d; }\n"
+      (i * 7 mod 50) (i mod 9 + 1) (i mod 5 + 1) (i mod 3 + 2)
+  done;
+  Buffer.add_string buf "  return a + b;\n}\n";
+  Buffer.contents buf
+
+(* Minor-heap words each fragment pass allocates on [diamonds_src k],
+   summed over every execution of the pass in a [run_fragment]-shaped
+   fixpoint (two rounds at most). Deterministic: allocation depends only
+   on the input IR. *)
+let pass_words k =
+  let ctx = Opt.Pass.make_ctx (Minic.Lower.compile (diamonds_src k)) in
+  let words = Hashtbl.create 16 in
+  let run_one (p : Opt.Pass.t) =
+    let before = Gc.minor_words () in
+    let changed = p.Opt.Pass.run ctx in
+    let w = Gc.minor_words () -. before in
+    Hashtbl.replace words p.Opt.Pass.name
+      (w +. Option.value ~default:0. (Hashtbl.find_opt words p.Opt.Pass.name));
+    changed
+  in
+  let rec go round =
+    if round < 2 then
+      let changed =
+        List.fold_left (fun acc p -> run_one p || acc) false
+          (Opt.Pipeline.fragment_passes ())
+      in
+      if changed then go (round + 1)
+  in
+  go 0;
+  Ir.Verify.run_exn ctx.Opt.Pass.modul;
+  words
+
+(* Doubling the function must not much more than double any pass's
+   allocation: a per-rewrite whole-function scan shows up as ~4x. *)
+let test_pass_scaling () =
+  let small = pass_words 100 and large = pass_words 200 in
+  let superlinear =
+    Hashtbl.fold
+      (fun name w_small acc ->
+        let w_large = Hashtbl.find large name in
+        let ratio = w_large /. Float.max w_small 1. in
+        if ratio > 2.6 then
+          Printf.sprintf "%s: %.0f -> %.0f words (x%.2f)" name w_small w_large ratio
+          :: acc
+        else acc)
+      small []
+  in
+  if superlinear <> [] then
+    Alcotest.failf "allocation more than doubles with the function:\n%s"
+      (String.concat "\n" (List.sort compare superlinear))
+
 let () =
   Alcotest.run "opt"
     [
@@ -866,6 +960,8 @@ let () =
         [
           Alcotest.test_case "end to end" `Quick test_pipeline_end_to_end;
           Alcotest.test_case "shrinks code" `Quick test_pipeline_shrinks_code;
+          Alcotest.test_case "golden IR digests" `Quick test_golden_ir;
+          Alcotest.test_case "passes scale linearly" `Quick test_pass_scaling;
           QCheck_alcotest.to_alcotest prop_pipeline_preserves;
         ] );
     ]
