@@ -766,15 +766,7 @@ let relink _cfg =
   (* small/medium real profiles plus a scaled-up synthetic one where the
      full link dominates refresh time, as it would for a real target
      with thousands of symbols *)
-  let xlarge =
-    {
-      (Workloads.Profile.find_exn "sqlite") with
-      Workloads.Profile.name = "sqlite-xl";
-      n_helpers = 400;
-      n_tiny = 200;
-      n_parsers = 24;
-    }
-  in
+  let xlarge = Workloads.Profile.sqlite_xl in
   let programs =
     [ Workloads.Profile.find_exn "json";
       Workloads.Profile.find_exn "sqlite";
@@ -916,16 +908,7 @@ let relink _cfg =
     dominates the profile promotions are decided from. *)
 let tier _cfg =
   print_endline "\n== Tiered compilation (tier-0 baseline vs optimizing tier) ==";
-  let xlarge =
-    {
-      (Workloads.Profile.find_exn "sqlite") with
-      Workloads.Profile.name = "sqlite-xl";
-      n_helpers = 400;
-      n_tiny = 200;
-      n_parsers = 24;
-      hot_skew = 8;
-    }
-  in
+  let xlarge = { Workloads.Profile.sqlite_xl with hot_skew = 8 } in
   let m_src = Workloads.Generate.source xlarge in
   let mk tiered =
     let m = Minic.Lower.compile m_src in
@@ -1526,15 +1509,7 @@ let farm_proc cfg =
     bit-for-bit. *)
 let mutate_bench _cfg =
   print_endline "\n== Mutation testing (kill matrix by probe toggling) ==";
-  let xlarge =
-    {
-      (Workloads.Profile.find_exn "sqlite") with
-      Workloads.Profile.name = "sqlite-xl";
-      n_helpers = 400;
-      n_tiny = 200;
-      n_parsers = 24;
-    }
-  in
+  let xlarge = Workloads.Profile.sqlite_xl in
   let n_mutants = if !quick_mode then 100 else 500 in
   let suite = Workloads.Generate.seed_inputs ~count:3 xlarge in
   (* price the strawman: one full build of the same target *)

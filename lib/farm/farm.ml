@@ -153,12 +153,9 @@ let live workers = List.filter (fun w -> w.wk_dead = None) workers
     the orchestrator, between rounds) the sessions' fragment compiles;
     results are independent of its size. [cache_dir] puts the shared
     persistent object store behind every worker's session.
-    [incremental_link] and [incremental_sched] forward to every
-    worker's session (default: the session's own env-driven defaults).
     [checkpoint_path] publishes a campaign checkpoint at every barrier;
     [resume] continues from one. *)
-let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
-    ?journal ?journal_path ?(host = Workloads.Generate.host_functions)
+let run ?telemetry ?pool ?cache_dir ?journal ?journal_path ?(host = Workloads.Generate.host_functions)
     ?checkpoint_path ?resume ~entry ~seeds (cfg : config) (base : Ir.Modul.t) =
   let nw = max 1 cfg.fc_workers in
   let r = match telemetry with Some r -> r | None -> Recorder.create () in
@@ -190,8 +187,8 @@ let run ?telemetry ?pool ?cache_dir ?incremental_link ?incremental_sched
          not depend on the environment the campaign happens to run in *)
       Odin.Session.create ~mode:cfg.fc_mode ~keep:[ entry ]
         ~runtime_globals:[ Odin.Cov.runtime_global m ]
-        ~host ~pool ~objects:shared ~owner:i ?cache_dir ?incremental_link
-        ?incremental_sched ~tiered:(cfg.fc_promote_share > 0.) ~telemetry:wr m
+        ~host ~pool ~objects:shared ~owner:i ?cache_dir
+        ~tiered:(cfg.fc_promote_share > 0.) ~telemetry:wr m
     in
     let cov = Odin.Cov.setup session in
     let dead =

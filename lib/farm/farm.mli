@@ -117,10 +117,9 @@ val dedup_rate : stats -> float
     names host functions registered as no-ops in each guest VM
     (defaults to the workloads' host set). Per-worker telemetry is
     recorded on forked recorders and merged into [telemetry] (or a
-    private recorder) at the end. [incremental_link] and
-    [incremental_sched] forward to each worker's session
-    ({!Odin.Session.create}); farm results are bit-identical whichever
-    way they are set.
+    private recorder) at the end. Every worker's session takes the one
+    production refresh path: dirty-set schedule, then incremental
+    relink (falling back to a full link when a patch is unsafe).
 
     [journal]/[journal_path] attach a campaign flight recorder: sync
     and counter-snapshot events are recorded at every barrier, per-probe
@@ -137,8 +136,6 @@ val run :
   ?telemetry:Telemetry.Recorder.t ->
   ?pool:Support.Pool.t ->
   ?cache_dir:string ->
-  ?incremental_link:bool ->
-  ?incremental_sched:bool ->
   ?journal:Telemetry.Journal.t ->
   ?journal_path:string ->
   ?host:string list ->

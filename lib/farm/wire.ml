@@ -43,8 +43,10 @@ let magic = "ODNW"
    v3: tiered compilation — Init carries the promotion threshold
    (workers derive their tiering from it), Assign carries the
    barrier-merged per-function cycle profile promotions are decided
-   from, and the checkpoint payload moved to ckpt v2. *)
-let version = 3
+   from, and the checkpoint payload moved to ckpt v2.
+   v4: Init lost its incremental link/scheduler overrides — every
+   worker session takes the one production refresh path. *)
+let version = 4
 let header_len = 14
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Wire_error m)) fmt
@@ -367,8 +369,6 @@ type init = {
   in_mod_name : string;
   in_mod_text : string;
   in_cache_dir : string option;
-  in_incr_link : bool option;
-  in_incr_sched : bool option;
   in_promote_share : float;
       (** > 0: run the worker's session tiered; the threshold it feeds
           to [Odin.Session.promote_hot] each round. 0.0: untiered. *)
@@ -438,8 +438,6 @@ let encode_payload b = function
     w_str b i.in_mod_name;
     w_str b i.in_mod_text;
     w_opt b w_str i.in_cache_dir;
-    w_opt b w_bool i.in_incr_link;
-    w_opt b w_bool i.in_incr_sched;
     w_f64 b i.in_promote_share
   | Ready { rd_id; rd_n_probes } ->
     w_i64 b rd_id;
@@ -482,8 +480,6 @@ let decode_payload tag c =
     let in_mod_name = r_str c in
     let in_mod_text = r_str c in
     let in_cache_dir = r_opt c r_str in
-    let in_incr_link = r_opt c r_bool in
-    let in_incr_sched = r_opt c r_bool in
     let in_promote_share = r_f64 c in
     Init
       {
@@ -496,8 +492,6 @@ let decode_payload tag c =
         in_mod_name;
         in_mod_text;
         in_cache_dir;
-        in_incr_link;
-        in_incr_sched;
         in_promote_share;
       }
   | 2 ->

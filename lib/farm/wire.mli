@@ -32,8 +32,6 @@ type init = {
   in_mod_name : string;
   in_mod_text : string;
   in_cache_dir : string option;
-  in_incr_link : bool option;
-  in_incr_sched : bool option;
   in_promote_share : float;
       (** > 0: run the worker's session tiered; the threshold it feeds
           to [Odin.Session.promote_hot] each round. 0.0: untiered. *)

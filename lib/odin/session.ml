@@ -207,7 +207,7 @@ type t = {
   linker : Link.Incremental.t;
       (** persistent link state: slabs + reverse relocation index, so a
           refresh relinks only what changed (when [incr_link]) *)
-  mutable incr_link : bool;  (** patch instead of full relink when safe *)
+  incr_link : bool;  (** patch instead of full relink when safe *)
   mutable incr_sched : bool;
       (** O(changed) refreshes: schedule through the symbol->fragment
           indexes instead of walking every fragment, and short-circuit
@@ -290,22 +290,6 @@ let store_format_version = 3
 (* ------------------------------------------------------------------ *)
 (* Session construction                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* ODIN_INCR_LINK=0 (or false/off/no) disables the incremental linker
-   process-wide; the [?incremental_link] create param overrides. *)
-let env_incremental_link () =
-  match Sys.getenv_opt "ODIN_INCR_LINK" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
-(* ODIN_INCR_SCHED=0 (or false/off/no) disables the incremental probe
-   scheduler and the Shash optimization memo process-wide — the escape
-   hatch back to the O(program) full-walk refresh path; the
-   [?incremental_sched] create param overrides. *)
-let env_incremental_sched () =
-  match Sys.getenv_opt "ODIN_INCR_SCHED" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
 
 (* ODIN_TIER=1 (or true/on/yes) enables tiered compilation process-wide;
    ODIN_TIER=0 (or unset) keeps the classic always-optimized pipeline.
@@ -392,14 +376,8 @@ let create ?(mode = Partition.Auto) ?(copy_on_use = true) ?(keep = [ "main" ])
     pool = (match pool with Some p -> p | None -> Support.Pool.default ());
     runtime;
     linker = Link.Incremental.create ();
-    incr_link =
-      (match incremental_link with
-      | Some b -> b
-      | None -> env_incremental_link ());
-    incr_sched =
-      (match incremental_sched with
-      | Some b -> b
-      | None -> env_incremental_sched ());
+    incr_link = Option.value incremental_link ~default:true;
+    incr_sched = Option.value incremental_sched ~default:true;
     clone_index;
     memo = Hashtbl.create 64;
     tiered = (match tiered with Some b -> b | None -> env_tiered ());
@@ -439,19 +417,11 @@ let set_max_retries t n = t.max_retries <- max 0 n
 (** Arm/disarm the cooperative per-fragment compile watchdog. *)
 let set_job_timeout t timeout = t.job_timeout <- timeout
 
-(** Enable/disable the incremental link path for subsequent rebuilds.
-    Purely a performance switch: the resulting executable is
-    semantically identical either way. *)
-let set_incremental_link t b = t.incr_link <- b
-
-let incremental_link t = t.incr_link
-
-(** Enable/disable the incremental scheduler + optimization memo for
-    subsequent rebuilds. Purely a performance switch: schedules, images
-    and VM behavior are identical either way. *)
+(** Select the incremental scheduler + optimization memo, or the full
+    walk that equivalence tests compare it against, for subsequent
+    rebuilds. Schedules, images and VM behavior are identical either
+    way. *)
 let set_incremental_sched t b = t.incr_sched <- b
-
-let incremental_sched t = t.incr_sched
 
 (** Entries currently held by the optimization memo. *)
 let memo_size t = Hashtbl.length t.memo

@@ -138,7 +138,7 @@ type t = {
   linker : Link.Incremental.t;
       (** persistent link state (address slabs + reverse relocation
           index); lets a refresh patch only what changed *)
-  mutable incr_link : bool;
+  incr_link : bool;
       (** serve rebuilds through the incremental patch path when safe;
           semantics are identical either way (see {!Link.Incremental}) *)
   mutable incr_sched : bool;
@@ -238,14 +238,15 @@ val map_func : sched -> string -> Ir.Func.t option
     @param job_timeout cooperative per-fragment compile watchdog
       (seconds); an overrunning job degrades instead of stalling the join
     @param incremental_link serve rebuilds through the incremental
-      linker's patch path when provably safe (default: on, unless
-      [ODIN_INCR_LINK=0]); purely a performance switch — executables
-      are semantically identical either way
+      linker's patch path when provably safe (default: on). [false]
+      selects the always-full link as the reference path for
+      equivalence tests; executables are semantically identical either
+      way
     @param incremental_sched schedule refreshes from the probe dirty-set
       through persistent symbol->fragment indexes and memoize
-      optimization by fragment Shash (default: on, unless
-      [ODIN_INCR_SCHED=0]); purely a performance switch — schedules,
-      images and outcomes are identical either way
+      optimization by fragment Shash (default: on). [false] selects the
+      full scheduler walk as the reference path for equivalence tests;
+      schedules, images and outcomes are identical either way
     @param tiered two-tier compilation (default: off, unless
       [ODIN_TIER=1]): freshly changed fragments compile through the
       single-pass tier-0 baseline backend ({!Codegen.Baseline}, no
@@ -288,16 +289,10 @@ val set_max_retries : t -> int -> unit
 (** Arm/disarm the cooperative per-fragment compile watchdog (seconds). *)
 val set_job_timeout : t -> float option -> unit
 
-(** Enable/disable the incremental link path for subsequent rebuilds. *)
-val set_incremental_link : t -> bool -> unit
-
-val incremental_link : t -> bool
-
-(** Enable/disable the incremental scheduler + opt memo for subsequent
-    rebuilds. *)
+(** Select the incremental scheduler + opt memo ([true]) or the full
+    scheduler walk, the reference path for equivalence tests ([false]),
+    for subsequent rebuilds. *)
 val set_incremental_sched : t -> bool -> unit
-
-val incremental_sched : t -> bool
 
 (** Entries in the per-session optimization memo (digest -> object). *)
 val memo_size : t -> int

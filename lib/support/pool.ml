@@ -37,12 +37,12 @@ let serial =
 let size t = t.psize
 
 let default_size () =
-  match Sys.getenv_opt "ODIN_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> min n 64
-      | _ -> 1)
-  | None -> min (Domain.recommended_domain_count ()) 8
+  match
+    Option.bind (Sys.getenv_opt "ODIN_JOBS") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some n when n >= 1 -> min n 64
+  | _ -> min (Domain.recommended_domain_count ()) 8
 
 (* Pop a job or block until one arrives / the pool stops. Caller holds
    the lock; it is held again on return. *)

@@ -18,8 +18,9 @@ val create : ?size:int -> unit -> t
 val size : t -> int
 
 (** Pool size implied by the environment: [ODIN_JOBS] if set to a
-    positive integer, else [Domain.recommended_domain_count ()] capped
-    at 8 (fragment compiles are small; more domains just burn memory). *)
+    positive integer, capped at 64; else (unset, non-positive or
+    unparsable) [Domain.recommended_domain_count ()] capped at 8
+    (fragment compiles are small; more domains just burn memory). *)
 val default_size : unit -> int
 
 (** A lazily created process-wide pool of [default_size ()] executors.

@@ -73,6 +73,16 @@ let all : t list =
       const_tables = 3; magic_checks = 2; hot_skew = 0 };
   ]
 
+(** sqlite scaled ~20x in helper count (~640 fragments under the Max
+    partition mode): big enough that the full link dominates refresh
+    time, as it would for a real target with thousands of symbols, yet
+    small enough to build in seconds. The relink, tier and mutate bench
+    sections run on it. *)
+let sqlite_xl =
+  { name = "sqlite-xl"; seed = 107; n_helpers = 400; helper_stmts = 10;
+    n_tiny = 200; n_parsers = 24; parser_cases = 5; opcode_switch = Some 96;
+    coupling = 2; const_tables = 6; magic_checks = 2; hot_skew = 0 }
+
 (** ~10k-function stress shape for the O(changed)-refresh benchmarks:
     sqlite's profile scaled two orders of magnitude up (under the Max
     partition mode every function is its own fragment, so this is a
@@ -91,8 +101,11 @@ let tiny =
     n_parsers = 2; parser_cases = 3; opcode_switch = None; coupling = 1;
     const_tables = 2; magic_checks = 1; hot_skew = 0 }
 
-let find name =
-  List.find_opt (fun p -> String.equal p.name name) (all @ [ sqlite_xxl; tiny ])
+let named = all @ [ sqlite_xl; sqlite_xxl; tiny ]
+
+let names = List.map (fun p -> p.name) named
+
+let find name = List.find_opt (fun p -> String.equal p.name name) named
 
 let find_exn name =
   match find name with

@@ -27,14 +27,23 @@ type t = {
 (** The 13 benchmark profiles, in the paper's order. *)
 val all : t list
 
+(** sqlite scaled ~20x in helper count (~640 fragments under Max
+    partitioning): the scaling workload of the relink, tier and mutate
+    bench sections. Not part of {!all}; {!find} resolves ["sqlite-xl"]. *)
+val sqlite_xl : t
+
 (** ~10k-function (and, under Max partitioning, ~10k-fragment) stress
     shape for the O(changed)-refresh benchmarks. Not part of {!all}:
     whole-suite drivers would take minutes on it; {!find} resolves
     ["sqlite-xxl"] anyway. *)
 val sqlite_xxl : t
 
-(** Resolves any profile by name: {!all}, {!sqlite_xxl} and {!tiny}. *)
+(** Resolves any profile by name: {!all}, {!sqlite_xl}, {!sqlite_xxl}
+    and {!tiny}. *)
 val find : string -> t option
+
+(** Every name {!find} resolves, in the order above. *)
+val names : string list
 
 (** @raise Invalid_argument for unknown names. *)
 val find_exn : string -> t

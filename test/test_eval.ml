@@ -28,6 +28,29 @@ let test_workload_compiles () =
         (Ir.Modul.find_func m "target_main" <> None))
     Workloads.Profile.all
 
+(* Profile.find resolves every listed name; sqlite-xl is sqlite scaled
+   in helper, tiny-function and parser counts only. *)
+let test_profile_names_resolve () =
+  List.iter
+    (fun name ->
+      match Workloads.Profile.find name with
+      | Some p ->
+        Alcotest.(check string) "name round-trips" name p.Workloads.Profile.name
+      | None -> Alcotest.failf "%s does not resolve" name)
+    Workloads.Profile.names;
+  Alcotest.(check int) "every profile listed" 16
+    (List.length Workloads.Profile.names);
+  let sqlite = Workloads.Profile.find_exn "sqlite" in
+  Alcotest.(check bool) "sqlite-xl = scaled sqlite" true
+    (Workloads.Profile.find_exn "sqlite-xl"
+    = {
+        sqlite with
+        Workloads.Profile.name = "sqlite-xl";
+        n_helpers = 400;
+        n_tiny = 200;
+        n_parsers = 24;
+      })
+
 let test_workload_runs_on_vm () =
   let m = Workloads.Generate.compile tiny in
   let exe =
@@ -352,6 +375,7 @@ let () =
           Alcotest.test_case "all 13 compile" `Slow test_workload_compiles;
           Alcotest.test_case "runs on VM" `Quick test_workload_runs_on_vm;
           Alcotest.test_case "VM matches interp" `Quick test_workload_vm_matches_interp;
+          Alcotest.test_case "profile names resolve" `Quick test_profile_names_resolve;
         ] );
       ( "fuzzer",
         [

@@ -226,11 +226,37 @@ let test_pool_map_order_and_exceptions () =
   Alcotest.(check (list int)) "usable after failure" [ 2; 4 ]
     (Pool.map pool (fun x -> x * 2) [ 1; 2 ])
 
+let with_env_jobs v f =
+  let old = Sys.getenv_opt "ODIN_JOBS" in
+  Unix.putenv "ODIN_JOBS" v;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "ODIN_JOBS" (Option.value ~default:"" old))
+    f
+
 let test_pool_serial_and_env () =
   Alcotest.(check int) "serial size" 1 (Pool.size Pool.serial);
   Alcotest.(check (list int))
     "serial map inline" [ 1; 4; 9 ]
-    (Pool.map Pool.serial (fun x -> x * x) [ 1; 2; 3 ])
+    (Pool.map Pool.serial (fun x -> x * x) [ 1; 2; 3 ]);
+  let fallback = min (Domain.recommended_domain_count ()) 8 in
+  List.iter
+    (fun (v, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "ODIN_JOBS=%S" v)
+        expected
+        (with_env_jobs v Pool.default_size))
+    [
+      ("3", 3);
+      (" 5 ", 5);
+      ("1", 1);
+      ("64", 64);
+      ("1000", 64);
+      ("0", fallback);
+      ("-2", fallback);
+      ("four", fallback);
+      ("", fallback);
+    ]
 
 (* Regression: a raising job must not abandon its batch — every sibling
    job still runs to completion (drain/join barrier) before the

@@ -92,8 +92,6 @@ let sample_init =
       in_mod_name = "m";
       in_mod_text = "module text\nwith newline \x00 and nul";
       in_cache_dir = Some "/tmp/x";
-      in_incr_link = Some true;
-      in_incr_sched = None;
       in_promote_share = 0.05;
     }
 
@@ -195,8 +193,9 @@ let test_wire_torn_and_corrupt () =
   expect_wire_error "trailing garbage" (fun () ->
       Wire.decode_frame (frame ^ "x"));
   (* v3: tiered compilation joined the protocol (Init threshold,
-     Assign merged profile, ckpt v2) *)
-  Alcotest.(check int) "protocol version pinned" 3 Wire.version;
+     Assign merged profile, ckpt v2); v4: Init lost the incremental
+     link/scheduler overrides *)
+  Alcotest.(check int) "protocol version pinned" 4 Wire.version;
   Alcotest.(check int) "header length pinned" 14 Wire.header_len
 
 (* ---------------- checkpoint files ------------------------------------- *)

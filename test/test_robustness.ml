@@ -555,8 +555,7 @@ let run_matrix_case ?cache_dir ?job_timeout ?incremental_link ~plan expected =
    incremental linker's verify-after-patch pass must detect and turn
    into a rollback, exactly like a full-link failure); elsewhere a torn
    rule never fires and the refresh must stay Ok. The link.patch rows
-   pin ~incremental_link:true so they hold under ODIN_INCR_LINK=0 runs
-   of the suite. *)
+   pin ~incremental_link:true: the site lives on the patch path. *)
 let test_fault_matrix () =
   let store_dir site kind =
     let dir =

@@ -477,6 +477,45 @@ let test_storm_equivalence () =
       rest
   | [] -> assert false
 
+(* ---------------- one production refresh path ---------------- *)
+
+let with_env vars f =
+  let saved = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) vars in
+  List.iter (fun (k, v) -> Unix.putenv k v) vars;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (k, old) -> Unix.putenv k (Option.value ~default:"" old))
+        saved)
+    f
+
+(* The environment cannot select the reference paths: a default session
+   created under the retired switches still schedules from the dirty set
+   and relinks incrementally. *)
+let test_env_cannot_select_reference_paths () =
+  with_env [ ("ODIN_INCR_LINK", "0"); ("ODIN_INCR_SCHED", "0") ] @@ fun () ->
+  let m = Minic.Lower.compile sched_src in
+  let session =
+    Odin.Session.create ~mode:Odin.Partition.Max ~keep:[ "main" ]
+      ~runtime_globals:[ Odin.Cov.runtime_global m ]
+      ~pool:Pool.serial m
+  in
+  ignore (Odin.Cov.setup session);
+  ignore (Odin.Session.build session);
+  let visited = counter_value session "session.schedule_visited" in
+  let relinks = counter_value session "link.relinks_incremental" in
+  Instr.Manager.set_enabled session.Odin.Session.manager (first_probe session)
+    false;
+  (match Odin.Session.refresh session with
+  | Some ev ->
+    Alcotest.(check int) "one dirty fragment" 1
+      (List.length ev.Odin.Session.ev_fragments)
+  | None -> Alcotest.fail "toggle did not refresh");
+  Alcotest.(check int) "visited only the dirty fragment" (visited + 1)
+    (counter_value session "session.schedule_visited");
+  Alcotest.(check int) "relinked incrementally" (relinks + 1)
+    (counter_value session "link.relinks_incremental")
+
 let () =
   Alcotest.run "schedule"
     [
@@ -489,6 +528,8 @@ let () =
             test_schedule_equivalence_direct;
           Alcotest.test_case "re-heal via dirty-set" `Quick
             test_reheal_via_dirty_set;
+          Alcotest.test_case "env cannot select reference paths" `Quick
+            test_env_cannot_select_reference_paths;
         ] );
       ( "memo",
         [
