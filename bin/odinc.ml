@@ -637,22 +637,20 @@ let fuzz_cmd =
     let cov_counter =
       Telemetry.Metrics.counter metrics ~series:true "campaign.coverage"
     in
+    (* one VM for the whole campaign, reset to the current executable
+       before each execution *)
+    let vm = Vm.create (Odin.Session.executable session) in
+    List.iter (fun n -> Vm.register_host vm n (fun _ -> 0L)) [ "printf"; "puts" ];
     let target =
       {
         Fuzzer.Fuzz.run =
           (fun input ->
-            let vm =
-              Telemetry.Recorder.with_span r ~cat:"campaign" "execute"
-                (fun () ->
-                  let vm = Vm.create (Odin.Session.executable session) in
-                  List.iter
-                    (fun n -> Vm.register_host vm n (fun _ -> 0L))
-                    [ "printf"; "puts" ];
-                  let addr = Vm.write_buffer vm input in
-                  ignore
-                    (Vm.call vm entry [ addr; Int64.of_int (String.length input) ]);
-                  vm)
-            in
+            Telemetry.Recorder.with_span r ~cat:"campaign" "execute"
+              (fun () ->
+                Vm.reset vm (Odin.Session.executable session);
+                let addr = Vm.write_buffer vm input in
+                ignore
+                  (Vm.call vm entry [ addr; Int64.of_int (String.length input) ]));
             Telemetry.Metrics.incr exec_counter;
             Telemetry.Metrics.observe metrics "campaign.exec_cycles"
               (float_of_int vm.Vm.cycles);

@@ -27,14 +27,16 @@ let () =
 
   let recompiles = ref 0 in
   let exec_cycles = ref 0 in
+  (* one VM for the campaign, reset to the current executable per run *)
+  let vm = Vm.create (Odin.Session.executable session) in
+  List.iter
+    (fun n -> Vm.register_host vm n (fun _ -> 0L))
+    Workloads.Generate.host_functions;
   let target =
     {
       Fuzzer.Fuzz.run =
         (fun input ->
-          let vm = Vm.create (Odin.Session.executable session) in
-          List.iter
-            (fun n -> Vm.register_host vm n (fun _ -> 0L))
-            Workloads.Generate.host_functions;
+          Vm.reset vm (Odin.Session.executable session);
           let addr = Vm.write_buffer vm input in
           ignore (Vm.call vm entry [ addr; Int64.of_int (String.length input) ]);
           let fresh = Odin.Cov.harvest cov vm in

@@ -89,9 +89,9 @@ let build ?(keep = [ "target_main" ]) ?(host = []) (m : Ir.Modul.t) =
 let host_hook t (vm : Vm.t) =
   Queue.add
     {
-      sr_pid = Int64.to_int vm.Vm.regs.(0);
-      sr_lhs = vm.Vm.regs.(1);
-      sr_rhs = vm.Vm.regs.(2);
+      sr_pid = Int64.to_int (Vm.reg vm 0);
+      sr_lhs = Vm.reg vm 1;
+      sr_rhs = Vm.reg vm 2;
     }
     t.log;
   0L

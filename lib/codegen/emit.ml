@@ -100,7 +100,7 @@ let finish ~name (vc : Isel.vcode) spill_slots used_callee =
   let blocks =
     Array.mapi (fun i (_, label, _) -> (block_start.(i), label)) expanded_blocks
   in
-  { mf_name = name; mf_code = code; mf_blocks = blocks; mf_frame = frame }
+  Mach.mfunc ~name ~code ~blocks ~frame
 
 (** Compile one defined IR function to machine code through the
     optimizing (tier-1) backend. Declares the ["codegen.emit"] fault

@@ -132,5 +132,25 @@ type mfunc = {
   mf_name : string;
   mf_code : minst array;
   mf_blocks : (int * string) array;  (** (start index, IR block label) *)
+  mf_block_at : int array;
+      (** instruction index -> index of the first block starting there,
+          or -1; one entry past the last instruction *)
   mf_frame : int;  (** bytes of frame (spills + allocas) *)
 }
+
+(** Build an [mfunc], indexing its block starts ([blocks] ascending by
+    start). *)
+let mfunc ~name ~code ~blocks ~frame =
+  let block_at = Array.make (Array.length code + 1) (-1) in
+  Array.iteri
+    (fun i (start, _) ->
+      if start >= 0 && start < Array.length block_at && block_at.(start) < 0
+      then block_at.(start) <- i)
+    blocks;
+  {
+    mf_name = name;
+    mf_code = code;
+    mf_blocks = blocks;
+    mf_block_at = block_at;
+    mf_frame = frame;
+  }

@@ -130,6 +130,7 @@ type worker = {
   wk_session : Odin.Session.t;
   wk_cov : Odin.Cov.t;
   wk_corpus : Fuzzer.Corpus.t;  (** shard; replica of the global corpus *)
+  wk_vm : Vm.t Lazy.t;  (** reused by every slot; built on first use *)
   wk_recorder : Recorder.t;  (** forked; merged into the farm's at the end *)
   mutable wk_execs : int;
   mutable wk_cycles : int;
@@ -202,6 +203,7 @@ let run ?telemetry ?pool ?cache_dir ?journal ?journal_path ?(host = Workloads.Ge
       wk_session = session;
       wk_cov = cov;
       wk_corpus = Fuzzer.Corpus.create ();
+      wk_vm = lazy (Orch.worker_vm ~host (Odin.Session.executable session));
       wk_recorder = wr;
       wk_execs = 0;
       wk_cycles = 0;
@@ -270,7 +272,8 @@ let run ?telemetry ?pool ?cache_dir ?journal ?journal_path ?(host = Workloads.Ge
      process driver; this wrapper only adds the per-worker accounting *)
   let run_slot w idx =
     let item =
-      Orch.exec_slot ~seed:cfg.fc_seed ~entry ~host ~seeds ~default_input
+      Orch.exec_slot ~seed:cfg.fc_seed ~entry ~vm:(Lazy.force w.wk_vm) ~seeds
+        ~default_input
         ~session:w.wk_session ~total_probes:w.wk_cov.Odin.Cov.total_probes
         ~corpus:w.wk_corpus idx
     in

@@ -62,6 +62,7 @@ type worker = {
   wk_session : Odin.Session.t;
   wk_cov : Odin.Cov.t;
   wk_corpus : Fuzzer.Corpus.t;
+  wk_vm : Vm.t Lazy.t;  (** reused by every slot; built on first use *)
   wk_recorder : Telemetry.Recorder.t;
   mutable wk_execs : int;
   mutable wk_cycles : int;

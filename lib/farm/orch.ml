@@ -213,12 +213,18 @@ let replay_corpus corpus entries =
 (* One execution slot                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(** A worker's VM, with [host] functions stubbed to return 0. *)
+let worker_vm ?max_steps ~host exe =
+  let vm = Vm.create ?max_steps exe in
+  List.iter (fun n -> Vm.register_host vm n (fun _ -> 0L)) host;
+  vm
+
 (** Run execution slot [idx] against [session]'s current executable and
     the shard [corpus]. Deterministic in the slot index alone (given
     the round-start shard state, which is a global replica): which
     worker — domain or process — runs it is irrelevant to the result.
     Slots below the seed count replay the seed inputs themselves. *)
-let exec_slot ~seed ~entry ~host ~seeds ~default_input ~session ~total_probes
+let exec_slot ~seed ~entry ~vm ~seeds ~default_input ~session ~total_probes
     ~corpus idx =
   let n_seeds = List.length seeds in
   let rng = Support.Rng.create ((seed * 1_000_003) + idx) in
@@ -232,9 +238,8 @@ let exec_slot ~seed ~entry ~host ~seeds ~default_input ~session ~total_probes
       in
       Fuzzer.Mutate.havoc rng ~pool:(Fuzzer.Corpus.inputs corpus) base_in
   in
-  let vm = Vm.create (Odin.Session.executable session) in
+  Vm.reset vm (Odin.Session.executable session);
   ignore (Vm.enable_profile vm);
-  List.iter (fun n -> Vm.register_host vm n (fun _ -> 0L)) host;
   let addr = Vm.write_buffer vm input in
   ignore (Vm.call vm entry [ addr; Int64.of_int (String.length input) ]);
   let fired =

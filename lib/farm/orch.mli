@@ -128,14 +128,19 @@ val corpus_entries : t -> centry list
 (** Rebuild a shard as an exact replica of the global corpus. *)
 val replay_corpus : Fuzzer.Corpus.t -> centry list -> unit
 
-(** Run one execution slot against a session's current executable.
-    Deterministic in the slot index alone (given the round-start shard
-    state): which worker — domain or process — runs it is irrelevant
-    to the result. Slots below the seed count replay the seeds. *)
+(** A worker's VM: [host] functions stubbed to return 0. Create one per
+    worker and hand it to every {!exec_slot} (or suite run). *)
+val worker_vm : ?max_steps:int -> host:string list -> Link.Linker.exe -> Vm.t
+
+(** Run one execution slot against a session's current executable, on
+    [vm] ({!Vm.reset} to that executable first). Deterministic in the
+    slot index alone (given the round-start shard state): which worker —
+    domain or process — runs it is irrelevant to the result. Slots below
+    the seed count replay the seeds. *)
 val exec_slot :
   seed:int ->
   entry:string ->
-  host:string list ->
+  vm:Vm.t ->
   seeds:string list ->
   default_input:string ->
   session:Odin.Session.t ->

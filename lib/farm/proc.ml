@@ -77,6 +77,9 @@ let boot (init : Wire.init) =
   | Odin.Session.Rolled_back err ->
     failwith ("initial build rolled back: " ^ err.Odin.Session.err_msg));
   let mgr = session.Odin.Session.manager in
+  let vm =
+    Orch.worker_vm ~host:init.Wire.in_host (Odin.Session.executable session)
+  in
   let default_input = match init.Wire.in_seeds with s :: _ -> s | [] -> "\x00" in
   let serve_assign (a : Wire.assign) =
     (* stateless round context: rebuild the shard replica, remove the
@@ -109,7 +112,7 @@ let boot (init : Wire.init) =
         (fun idx ->
           (match
              Orch.exec_slot ~seed:init.Wire.in_seed ~entry:init.Wire.in_entry
-               ~host:init.Wire.in_host ~seeds:init.Wire.in_seeds ~default_input
+               ~vm ~seeds:init.Wire.in_seeds ~default_input
                ~session ~total_probes:cov.Odin.Cov.total_probes ~corpus idx
            with
           | item -> items := item :: !items

@@ -18,8 +18,14 @@ let fresh_vm ?(hosts = default_hosts) exe =
   List.iter (fun (n, f) -> Vm.register_host vm n f) hosts;
   vm
 
-let run_once ?hosts ?(setup = fun (_ : Vm.t) -> ()) exe input =
-  let vm = fresh_vm ?hosts exe in
+let run_once ?vm ?hosts ?(setup = fun (_ : Vm.t) -> ()) exe input =
+  let vm =
+    match vm with
+    | Some vm ->
+      Vm.reset vm exe;
+      vm
+    | None -> fresh_vm ?hosts exe
+  in
   setup vm;
   let addr = Vm.write_buffer vm input in
   ignore (Vm.call vm entry [ addr; Int64.of_int (String.length input) ]);
@@ -72,8 +78,9 @@ let seed_energy ~avg_cycles ~cycles ~fn_cycles =
 let sancov_target (m : Ir.Modul.t) =
   let sc = Baselines.Sancov.build ~keep:[ entry ] ~host:Workloads.Generate.host_functions m in
   let seen = Array.make (max 1 sc.Baselines.Sancov.n_counters) false in
+  let vm = fresh_vm sc.Baselines.Sancov.exe in
   let run input =
-    let vm = run_once sc.Baselines.Sancov.exe input in
+    let vm = run_once ~vm sc.Baselines.Sancov.exe input in
     let covered = Baselines.Sancov.covered_counters vm sc in
     let fresh = List.filter (fun i -> not seen.(i)) covered in
     List.iter (fun i -> seen.(i) <- true) fresh;
@@ -163,17 +170,19 @@ let sum = List.fold_left ( + ) 0
 (** Baseline: the uninstrumented O2 binary. *)
 let replay_plain (p : prepared) =
   let exe = Baselines.Plain.build ~keep:[ entry ] ~host:Workloads.Generate.host_functions p.modul in
+  let vm = fresh_vm exe in
   let per_input =
-    List.map (fun input -> (run_once exe input).Vm.cycles) p.corpus
+    List.map (fun input -> (run_once ~vm exe input).Vm.cycles) p.corpus
   in
   { r_tool = "baseline"; r_total_cycles = sum per_input; r_per_input = per_input }
 
 (** SanitizerCoverage: static instrumentation after optimization. *)
 let replay_sancov (p : prepared) =
   let sc = Baselines.Sancov.build ~keep:[ entry ] ~host:Workloads.Generate.host_functions p.modul in
+  let vm = fresh_vm sc.Baselines.Sancov.exe in
   let per_input =
     List.map
-      (fun input -> (run_once sc.Baselines.Sancov.exe input).Vm.cycles)
+      (fun input -> (run_once ~vm sc.Baselines.Sancov.exe input).Vm.cycles)
       p.corpus
   in
   { r_tool = "SanCov"; r_total_cycles = sum per_input; r_per_input = per_input }
@@ -182,10 +191,11 @@ let replay_sancov (p : prepared) =
 let replay_dbi kind (p : prepared) =
   let exe = Baselines.Plain.build ~keep:[ entry ] ~host:Workloads.Generate.host_functions p.modul in
   let dbi = Baselines.Dbi.create kind in
+  let vm = fresh_vm exe in
   let per_input =
     List.map
       (fun input ->
-        (run_once ~setup:(Baselines.Dbi.attach dbi) exe input).Vm.cycles)
+        (run_once ~vm ~setup:(Baselines.Dbi.attach dbi) exe input).Vm.cycles)
       p.corpus
   in
   let name =
@@ -226,13 +236,14 @@ let replay_odincov ?telemetry ?(prune = true) ?(mode = Odin.Partition.Auto)
   let pruned = ref 0 in
   let degraded = ref 0 in
   let rollbacks = ref 0 in
+  let vm = fresh_vm (Odin.Session.executable session) in
   let per_input =
     List.map
       (fun input ->
         let exe = Odin.Session.executable session in
         let vm =
           Telemetry.Recorder.span_opt telemetry ~cat:"campaign" "execute"
-            (fun () -> run_once exe input)
+            (fun () -> run_once ~vm exe input)
         in
         Telemetry.Recorder.observe telemetry "campaign.exec_cycles"
           (float_of_int vm.Vm.cycles);

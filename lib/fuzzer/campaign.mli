@@ -9,10 +9,14 @@ val default_hosts : (string * (Vm.t -> int64)) list
 
 val fresh_vm : ?hosts:(string * (Vm.t -> int64)) list -> Link.Linker.exe -> Vm.t
 
-(** Run one input through [entry] in a fresh VM; returns the VM (cycles,
-    memory, coverage state readable). [setup] runs before execution
-    (e.g. to attach a DBI engine). *)
+(** Run one input through [entry]; returns the VM (cycles, memory,
+    coverage state readable until its next use). Given [vm], that VM is
+    {!Vm.reset} to [exe] and reused, keeping the host functions it was
+    created with ([hosts] is then ignored); otherwise a fresh VM is
+    built. [setup] runs before execution (e.g. to attach a DBI engine;
+    reset detaches it). *)
 val run_once :
+  ?vm:Vm.t ->
   ?hosts:(string * (Vm.t -> int64)) list ->
   ?setup:(Vm.t -> unit) ->
   Link.Linker.exe ->

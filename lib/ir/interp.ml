@@ -12,6 +12,7 @@ let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
 type state = {
   modul : Modul.t;
   mem : Bytes.t;
+  touched : Bytes.t;
   sym_addr : (string, int64) Hashtbl.t;
   fn_addr : (int64, string) Hashtbl.t;  (** code addresses back to functions *)
   host : (string, state -> int64 list -> int64) Hashtbl.t;
@@ -35,10 +36,25 @@ let addr_of state name =
 (* Memory access (little-endian)                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Memory is zero-filled one 4 KiB page at a time, on first access: a
+   fresh state pays for the pages a run touches, not for all of
+   [mem_size] (nor does it make them resident). *)
+let page_bits = 12
+
+let touch state a len =
+  if len > 0 then
+    for p = a lsr page_bits to (a + len - 1) lsr page_bits do
+      if Bytes.get state.touched p = '\000' then begin
+        Bytes.fill state.mem (p lsl page_bits) (1 lsl page_bits) '\000';
+        Bytes.set state.touched p '\001'
+      end
+    done
+
 let check_addr state addr width =
   let a = Int64.to_int addr in
   if a < 0 || a + width > Bytes.length state.mem then
     trap "memory access out of bounds: 0x%Lx (+%d)" addr width;
+  touch state a width;
   a
 
 let load state ty addr =
@@ -73,7 +89,8 @@ let create ?(max_steps = 50_000_000) modul =
   let state =
     {
       modul;
-      mem = Bytes.make mem_size '\x00';
+      mem = Bytes.create mem_size;
+      touched = Bytes.make (mem_size lsr page_bits) '\000';
       sym_addr = Hashtbl.create 64;
       fn_addr = Hashtbl.create 64;
       host = Hashtbl.create 8;
@@ -104,7 +121,9 @@ let create ?(max_steps = 50_000_000) modul =
     (fun (v : Modul.gvar) ->
       let base = Int64.to_int (Hashtbl.find state.sym_addr v.Modul.gname) in
       match v.Modul.ginit with
-      | Modul.Bytes s -> Bytes.blit_string s 0 state.mem base (String.length s)
+      | Modul.Bytes s ->
+        touch state base (String.length s);
+        Bytes.blit_string s 0 state.mem base (String.length s)
       | Modul.Words (ty, ws) ->
         let w = Types.size_of ty in
         List.iteri
@@ -270,5 +289,6 @@ let run state fname args = call_function state fname args
 let alloc_input state bytes =
   let size = max 1 (String.length bytes) in
   state.stack_top <- state.stack_top - ((size + 15) / 8 * 8);
+  touch state state.stack_top (String.length bytes);
   Bytes.blit_string bytes 0 state.mem state.stack_top (String.length bytes);
   Int64.of_int state.stack_top

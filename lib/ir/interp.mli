@@ -7,6 +7,9 @@ exception Trap of string
 type state = {
   modul : Modul.t;
   mem : Bytes.t;
+      (** backing store, zero-filled a page at a time on first access:
+          read it through {!load} *)
+  touched : Bytes.t;  (** one byte per 4 KiB page: zero-filled yet? *)
   sym_addr : (string, int64) Hashtbl.t;
   fn_addr : (int64, string) Hashtbl.t;
   host : (string, state -> int64 list -> int64) Hashtbl.t;

@@ -52,9 +52,11 @@ let code_base = 0x400000
 let data_base = 0x40000
 
 let addr_of exe name =
-  match Hashtbl.find_opt exe.sym_addr name with
-  | Some a -> a
-  | None -> error "no such symbol @%s" name
+  (* [find], not [find_opt]: the VM resolves symbol operands through
+     here on every execution of one, so the lookup must not allocate *)
+  match Hashtbl.find exe.sym_addr name with
+  | a -> a
+  | exception Not_found -> error "no such symbol @%s" name
 
 let find_func exe name = Hashtbl.find_opt exe.funcs name
 

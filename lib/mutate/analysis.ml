@@ -311,10 +311,11 @@ type wstate = {
   ws_session : Odin.Session.t;
   ws_mutants : Instr.Probe.t array;  (** generation order = mutant id *)
   ws_entry : string;
-  ws_host : string list;
   ws_suite : string list;
   ws_baseline : int64 array;
-  ws_max_steps : int;
+  ws_vm : Vm.t;
+      (** the worker's one VM, reset before every suite run; carries the
+          step budget and the host stubs *)
   ws_deadline : float option;
   mutable ws_armed : Instr.Probe.t option;
   (* link accounting since the last drain *)
@@ -323,13 +324,14 @@ type wstate = {
   mutable ws_patched : int;
 }
 
-let run_test ~max_steps ~deadline ~entry ~host exe input =
-  let vm = Vm.create ~max_steps exe in
-  List.iter (fun n -> Vm.register_host vm n (fun _ -> 0L)) host;
-  let addr = Vm.write_buffer vm input in
+(* One suite run on the worker's VM, reset to [exe] first. An input too
+   large for the VM's memory is a trap like any other. *)
+let run_test ~deadline ~entry vm exe input =
+  Vm.reset vm exe;
   let result =
     match
       Support.Fault.with_deadline deadline (fun () ->
+          let addr = Vm.write_buffer vm input in
           Vm.call vm entry [ addr; Int64.of_int (String.length input) ])
     with
     | ret -> Ok ret
@@ -339,14 +341,12 @@ let run_test ~max_steps ~deadline ~entry ~host exe input =
   in
   (result, vm.Vm.cycles)
 
-let baseline_returns ~max_steps ~deadline ~entry ~host session suite =
+let baseline_returns ~deadline ~entry vm session suite =
   Array.of_list
     (List.map
        (fun input ->
          match
-           run_test ~max_steps ~deadline ~entry ~host
-             (Odin.Session.executable session)
-             input
+           run_test ~deadline ~entry vm (Odin.Session.executable session) input
          with
          | Ok ret, _ -> ret
          | Error o, _ ->
@@ -389,8 +389,7 @@ let eval_mutant st id =
     List.mapi
       (fun i input ->
         let result, c =
-          run_test ~max_steps:st.ws_max_steps ~deadline:st.ws_deadline
-            ~entry:st.ws_entry ~host:st.ws_host
+          run_test ~deadline:st.ws_deadline ~entry:st.ws_entry st.ws_vm
             (Odin.Session.executable st.ws_session)
             input
         in
@@ -448,17 +447,17 @@ let mk_wstate ?objects ?owner ?pool ?telemetry ~families ~limit ~entry ~host
   | Odin.Session.Ok | Odin.Session.Degraded _ -> ()
   | Odin.Session.Rolled_back err ->
     failwith ("mutate: initial build rolled back: " ^ err.Odin.Session.err_msg));
-  let baseline =
-    baseline_returns ~max_steps ~deadline ~entry ~host session suite
+  let vm =
+    Farm.Orch.worker_vm ~max_steps ~host (Odin.Session.executable session)
   in
+  let baseline = baseline_returns ~deadline ~entry vm session suite in
   {
     ws_session = session;
     ws_mutants = Array.of_list mutants;
     ws_entry = entry;
-    ws_host = host;
     ws_suite = suite;
     ws_baseline = baseline;
-    ws_max_steps = max_steps;
+    ws_vm = vm;
     ws_deadline = deadline;
     ws_armed = None;
     ws_incr = 0;

@@ -114,8 +114,8 @@ let setup ?(loads = false) (session : Session.t) =
 (** Host hooks to register with the VM (both runtime functions). *)
 let host_hooks t =
   let record is_div vm =
-    let pid = Int64.to_int Vm.(vm.regs.(0)) in
-    let value = Vm.(vm.regs.(1)) in
+    let pid = Int64.to_int (Vm.reg vm 0) in
+    let value = Vm.reg vm 1 in
     t.trips <- t.trips + 1;
     (match Instr.Manager.get t.session.Session.manager pid with
     | Some { Instr.Probe.payload = Instr.Probe.Check c; _ } ->

@@ -108,9 +108,9 @@ let setup (session : Session.t) =
 
 (** The host function to register with the VM. *)
 let host_hook t vm =
-  let pid = Int64.to_int Vm.(vm.regs.(0)) in
-  let lhs = Vm.(vm.regs.(1)) in
-  let rhs = Vm.(vm.regs.(2)) in
+  let pid = Int64.to_int (Vm.reg vm 0) in
+  let lhs = Vm.reg vm 1 in
+  let rhs = Vm.reg vm 2 in
   Queue.add { rec_pid = pid; rec_lhs = lhs; rec_rhs = rhs } t.log;
   (match Instr.Manager.get t.session.Session.manager pid with
   | Some { Instr.Probe.payload = Instr.Probe.Cmp c; _ } ->

@@ -284,8 +284,9 @@ let map_func sched name = Ir.Modul.find_func sched.temp name
    changes shape: a version mismatch makes an existing on-disk store
    invalidate cleanly. 2 = structural (Ir.Shash) cache keys; 3 = the
    compilation tier joined the key (a tier-0 object must never satisfy
-   a tier-1 lookup, or vice versa). *)
-let store_format_version = 3
+   a tier-1 lookup, or vice versa); 4 = machine functions carry their
+   block-start index. *)
+let store_format_version = 4
 
 (* ------------------------------------------------------------------ *)
 (* Session construction                                                *)

@@ -5,7 +5,13 @@
 
     The block-entry hook is how the dynamic-binary-instrumentation
     baselines (DrCov, libInst) charge translation/dispatch/trampoline
-    costs without modifying the code. *)
+    costs without modifying the code.
+
+    A VM is meant to be reused: create one per worker and {!reset} it
+    before each execution (AFL's persistent mode). Guest memory is
+    zero-filled one 4 KiB page at a time, on first access, so an
+    execution pays for the pages it touches and neither {!create} nor
+    {!reset} pays for the whole address space. *)
 
 exception Fault of string
 
@@ -47,7 +53,14 @@ type t = {
       (** swapped in place by an OSR migration; frames already on the
           stack keep direct references to their old code *)
   mem : Bytes.t;
-  regs : int64 array;  (** 16 registers; r0 = return value *)
+      (** backing store of guest memory: a page's bytes mean something
+          only once it is [touched]. Access memory through {!load_mem},
+          {!store_mem}, {!write_buffer} and {!memory} *)
+  touched : Bytes.t;
+      (** one byte per 4 KiB page: zero-filled since the last reset *)
+  regs : Bytes.t;
+      (** 16 unboxed 64-bit registers, native byte order; read them
+          with {!reg}. r0 = return value *)
   mutable cycles : int;
   mutable steps : int;
   max_steps : int;
@@ -68,13 +81,31 @@ type t = {
 
 val mem_size : int
 
-(** Fresh VM with the executable's data image loaded.
+(** Fresh VM with the executable's data image loaded: allocation, then
+    the same initialisation as {!reset}.
     @raise Fault if the image does not fit. *)
 val create : ?max_steps:int -> Link.Linker.exe -> t
 
-(** Host functions read their arguments from [regs.(0..5)] and return the
-    value placed in r0. *)
+(** [reset vm exe] makes [vm] indistinguishable from [create
+    ~max_steps exe] (with [vm]'s own [max_steps]) plus its host
+    functions: all of memory equals [exe]'s freshly loaded image,
+    registers are zero, [cycles], [steps] and {!budget_exhausted} are
+    cleared, the stack is empty, and the profile, the block hook,
+    [host_cost], any queued OSR swap, the migration count and the stack
+    map are back at their defaults. Registered host functions stay. It
+    holds after any previous use, including a run that faulted or
+    exhausted its budget midway, an OSR image swap, or a different
+    [exe]. Cost: one flag per page plus the data image; the pages the
+    next run touches are zero-filled as it touches them.
+    @raise Fault if the image does not fit. *)
+val reset : t -> Link.Linker.exe -> unit
+
+(** Host functions read their arguments from registers 0..5 ({!reg})
+    and return the value placed in r0. *)
 val register_host : t -> string -> (t -> int64) -> unit
+
+(** [reg vm i]: the current value of register [i]. *)
+val reg : t -> int -> int64
 
 (** Called on every basic-block entry with (function name, block index). *)
 val set_block_hook : t -> (t -> string -> int -> unit) -> unit
@@ -127,8 +158,14 @@ val load_mem : t -> Ir.Types.ty -> int64 -> int64
 
 val store_mem : t -> Ir.Types.ty -> int64 -> int64 -> unit
 
+(** All of guest memory as the program sees it (a fresh copy; pages not
+    touched since the last reset read as zero). *)
+val memory : t -> Bytes.t
+
 (** Copy an input buffer into fresh memory below the stack; returns its
-    address. *)
+    address.
+    @raise Fault if the buffer would reach below the end of the data
+      image ([exe.data_end]). *)
 val write_buffer : t -> string -> int64
 
 (** Call a function with up to 6 integer arguments; returns r0.

@@ -100,7 +100,7 @@ let test_vm_host_function () =
 extern int observe(int x);
 int f(int x) { return observe(x) + 1; }
 |} in
-  let v = run_vm ~host:[ ("observe", fun vm -> Int64.mul (vm.Vm.regs.(0)) 10L) ] src "f" [ 4L ] in
+  let v = run_vm ~host:[ ("observe", fun vm -> Int64.mul (Vm.reg vm 0) 10L) ] src "f" [ 4L ] in
   Alcotest.(check int64) "host" 41L v
 
 let test_vm_cycles_counted () =

@@ -419,6 +419,103 @@ let test_all_workers_retired () =
       (contains msg "mutate: all 2 workers retired"));
   check_no_children "after a fully retired fleet"
 
+(* ---------------- VM reuse ---------------- *)
+
+(* A suite input too large for the VM's memory is a trap of the
+   pristine baseline, reported as such, not an exception escaping the
+   campaign. *)
+let test_oversized_input_traps () =
+  match
+    run (mk_cfg ()) ~suite:[ "ab"; String.make 2_000_000 'x' ] (compile unit_src)
+  with
+  | _ -> Alcotest.fail "a 2 MB suite input was run"
+  | exception Failure msg ->
+    Alcotest.(check bool) "reported as a pristine trap" true
+      (contains msg "pristine baseline trapped")
+
+(* The campaign reuses one VM per worker. The reference replays every
+   (mutant, test) cell on a fresh Vm.create; rows must agree, outcomes
+   and cycles included. *)
+let replay_fresh ~suite ~max_steps ~limit m =
+  let entry = Fuzzer.Campaign.entry in
+  let host = Workloads.Generate.host_functions in
+  let session =
+    Odin.Session.create ~keep:[ entry ] ~host ~pool:Pool.serial
+      (Ir.Clone.clone_module m)
+  in
+  let mutants = Gen.setup ~limit session in
+  ignore (Odin.Session.build session);
+  let cell input =
+    let vm = Vm.create ~max_steps (Odin.Session.executable session) in
+    List.iter (fun n -> Vm.register_host vm n (fun _ -> 0L)) host;
+    match
+      let addr = Vm.write_buffer vm input in
+      Vm.call vm entry [ addr; Int64.of_int (String.length input) ]
+    with
+    | v -> (Ok v, vm.Vm.cycles)
+    | exception Vm.Fault _ ->
+      ( Error (if Vm.budget_exhausted vm then Analysis.Hang else Analysis.Crash),
+        vm.Vm.cycles )
+  in
+  let pristine = List.map (fun i -> Result.get_ok (fst (cell i))) suite in
+  let prev = ref None in
+  List.mapi
+    (fun id p ->
+      let off = match !prev with Some q -> [ (q, false) ] | None -> [] in
+      prev := Some p;
+      ignore (Odin.Session.refresh_toggles session (off @ [ (p, true) ]));
+      let cells = List.map cell suite in
+      let outcomes =
+        List.map2
+          (fun (r, _) want ->
+            match r with
+            | Ok v -> if Int64.equal v want then Analysis.Pass else Analysis.Kill
+            | Error o -> o)
+          cells pristine
+      in
+      (id, outcomes, List.fold_left (fun a (_, c) -> a + c) 0 cells))
+    mutants
+
+(* the suite [odinc mutate --tests n] runs *)
+let cli_suite n =
+  List.init n (fun t ->
+      String.init (8 + (8 * t)) (fun i -> Char.chr (((i * 37) + (t * 11) + 5) land 255)))
+
+let check_reuse_matches_fresh ~profile ~tests ~max_steps ~limit ~want_hang =
+  let m = Workloads.Generate.compile (Workloads.Profile.find_exn profile) in
+  let suite = cli_suite tests in
+  let want = replay_fresh ~suite ~max_steps ~limit m in
+  Alcotest.(check bool) (profile ^ ": replay has a Hang cell") want_hang
+    (List.exists (fun (_, o, _) -> List.mem Analysis.Hang o) want);
+  List.iter
+    (fun (workers, mode, label) ->
+      let matrix, _ =
+        run ~entry:Fuzzer.Campaign.entry
+          (mk_cfg ~workers ~mode ~max_steps ~limit ~chunk:7 ())
+          ~suite m
+      in
+      let got =
+        List.map
+          (fun r -> (r.Analysis.r_id, r.Analysis.r_outcomes, r.Analysis.r_cycles))
+          matrix.Analysis.m_rows
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %s: rows = fresh-VM replay" profile label)
+        true (got = want))
+    [ (1, Analysis.Domains, "1 domain"); (2, Analysis.Domains, "2 domains");
+      (2, Analysis.Procs, "2 procs") ]
+
+let test_reuse_matches_fresh_json () =
+  check_reuse_matches_fresh ~profile:"json" ~tests:4 ~max_steps:2_000_000
+    ~limit:40 ~want_hang:false
+
+(* a budget just above the pristine suite's need (2875..2900 steps):
+   mutants 76 and 78 exhaust it, so later cells run on a VM reset after
+   a budget-exhausted run *)
+let test_reuse_matches_fresh_proj4 () =
+  check_reuse_matches_fresh ~profile:"proj4" ~tests:3 ~max_steps:2900
+    ~limit:80 ~want_hang:true
+
 let () =
   Alcotest.run "mutate"
     [
@@ -460,6 +557,15 @@ let () =
             test_timeout_verdict_procs;
         ] );
       ("report", [ Alcotest.test_case "render" `Quick test_render ]);
+      ( "vm reuse",
+        [
+          Alcotest.test_case "oversized input traps" `Quick
+            test_oversized_input_traps;
+          Alcotest.test_case "json: reused VM = fresh replay" `Quick
+            test_reuse_matches_fresh_json;
+          Alcotest.test_case "proj4: reused VM = fresh replay" `Quick
+            test_reuse_matches_fresh_proj4;
+        ] );
       ( "supervision",
         [
           Alcotest.test_case "watchdog kill (procs)" `Quick
