@@ -358,6 +358,36 @@ let prop_diff_random_arith =
       let vm2 = compile_to_vm m_o2 in
       Vm.call vm0 "f" args = expected && Vm.call vm2 "f" args = expected)
 
+(* ---------------- golden machine code (bit-identity oracle) ---------------- *)
+
+(* MD5 of the printed machine code of every defined function after the
+   fragment pipeline, per workload profile. Backend and optimizer
+   refactors must leave every emitted instruction unchanged: the VM's
+   cycle counts, and with them every campaign digest, hang off it. *)
+let golden_code =
+  [
+    (Workloads.Profile.find_exn "sqlite", "2ce72912648f520dac08d96e9743f090");
+    (Workloads.Profile.find_exn "json", "3848ef10680616cb1c742e3af76d9745");
+    (Workloads.Profile.tiny, "f9183a43ae54a9e958d5387763964600");
+  ]
+
+let code_digest m =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun fn -> Buffer.add_string buf (Codegen.Emit.func_to_string (Codegen.Emit.compile_func fn)))
+    (Ir.Modul.defined_functions m);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_code () =
+  List.iter
+    (fun ((profile : Workloads.Profile.t), expected) ->
+      let m = Workloads.Generate.compile profile in
+      ignore (Opt.Pipeline.run_fragment m);
+      Alcotest.(check string)
+        (profile.Workloads.Profile.name ^ " machine code digest")
+        expected (code_digest m))
+    golden_code
+
 let () =
   Alcotest.run "codegen"
     [
@@ -392,4 +422,5 @@ let () =
           Alcotest.test_case "string scan O2" `Quick test_diff_string_scan_optimized;
           QCheck_alcotest.to_alcotest prop_diff_random_arith;
         ] );
+      ("golden", [ Alcotest.test_case "machine code digests" `Quick test_golden_code ]);
     ]
