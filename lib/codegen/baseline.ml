@@ -35,30 +35,30 @@ let compile_func ?cost (fn : Ir.Func.t) =
   Support.Fault.hit "codegen.emit";
   let vc = Isel.select fn in
   (match cost with Some c -> c := !c + (2 * Emit.vcode_size vc) | None -> ());
-  let assignment : (int, Regalloc.assignment) Hashtbl.t = Hashtbl.create 64 in
+  let assignment = Array.make vc.Isel.vc_nvreg Regalloc.Unassigned in
   let pool = ref callee_saved_pool in
   let used = ref Regalloc.ISet.empty in
   let next_spill = ref (List.length vc.Isel.vc_slots) in
   let spill_slots = ref [] in
   let assign r =
-    if is_virtual r && not (Hashtbl.mem assignment r) then
+    if is_virtual r && assignment.(r) = Regalloc.Unassigned then
       match !pool with
       | p :: rest ->
         pool := rest;
         used := Regalloc.ISet.add p !used;
-        Hashtbl.replace assignment r (Regalloc.Phys p)
+        assignment.(r) <- Regalloc.Phys p
       | [] ->
         let slot = !next_spill in
         incr next_spill;
         spill_slots := (slot, 8) :: !spill_slots;
-        Hashtbl.replace assignment r (Regalloc.Spill slot)
+        assignment.(r) <- Regalloc.Spill slot
   in
   Array.iter
     (fun vb ->
       List.iter
         (fun inst ->
-          List.iter assign (Regalloc.reads inst);
-          List.iter assign (Regalloc.writes inst))
+          Regalloc.iter_reads assign inst;
+          Regalloc.iter_writes assign inst)
         vb.Isel.vb_insts)
     vc.Isel.vc_blocks;
   Regalloc.rewrite vc assignment;

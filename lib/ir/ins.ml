@@ -170,23 +170,74 @@ let operands ins =
   | Phi incoming -> List.map snd incoming
   | Alloca _ -> []
 
-(** Rebuild the instruction kind with operands mapped through [f]. *)
+(** [f] on every value operand, in the order of {!operands}, without
+    building the list. *)
+let iter_operands f ins =
+  match ins.kind with
+  | Binop (_, a, b) | Icmp (_, a, b) | Store (a, b) | Gep (a, b, _) ->
+    f a;
+    f b
+  | Select (c, a, b) ->
+    f c;
+    f a;
+    f b
+  | Cast (_, a) | Load a -> f a
+  | Call (Direct _, args) -> List.iter f args
+  | Call (Indirect fn, args) ->
+    f fn;
+    List.iter f args
+  | Phi incoming -> List.iter (fun (_, v) -> f v) incoming
+  | Alloca _ -> ()
+
+(* [List.map f l] that returns [l] itself when [f] returns every element
+   unchanged (physically), so an untouched list costs no allocation. *)
+let rec map_shared f = function
+  | [] -> []
+  | x :: tl as l ->
+    let x' = f x in
+    let tl' = map_shared f tl in
+    if x' == x && tl' == tl then l else x' :: tl'
+
+let map_arm f ((l, v) as arm) =
+  let v' = f v in
+  if v' == v then arm else (l, v')
+
+(** Map the instruction's operands through [f], in place. The kind is
+    rebuilt only when [f] changed some operand (physically); an
+    instruction [f] leaves alone is neither reallocated nor written. *)
 let map_operands f ins =
-  let kind =
-    match ins.kind with
-    | Binop (op, a, b) -> Binop (op, f a, f b)
-    | Icmp (p, a, b) -> Icmp (p, f a, f b)
-    | Select (c, a, b) -> Select (f c, f a, f b)
-    | Cast (c, a) -> Cast (c, f a)
-    | Load a -> Load (f a)
-    | Store (a, b) -> Store (f a, f b)
-    | Gep (a, b, sz) -> Gep (f a, f b, sz)
-    | Call (Direct name, args) -> Call (Direct name, List.map f args)
-    | Call (Indirect fn, args) -> Call (Indirect (f fn), List.map f args)
-    | Phi incoming -> Phi (List.map (fun (l, v) -> (l, f v)) incoming)
-    | Alloca _ as k -> k
-  in
-  ins.kind <- kind
+  match ins.kind with
+  | Binop (op, a, b) ->
+    let a' = f a and b' = f b in
+    if a' != a || b' != b then ins.kind <- Binop (op, a', b')
+  | Icmp (p, a, b) ->
+    let a' = f a and b' = f b in
+    if a' != a || b' != b then ins.kind <- Icmp (p, a', b')
+  | Select (c, a, b) ->
+    let c' = f c and a' = f a and b' = f b in
+    if c' != c || a' != a || b' != b then ins.kind <- Select (c', a', b')
+  | Cast (c, a) ->
+    let a' = f a in
+    if a' != a then ins.kind <- Cast (c, a')
+  | Load a ->
+    let a' = f a in
+    if a' != a then ins.kind <- Load a'
+  | Store (a, b) ->
+    let a' = f a and b' = f b in
+    if a' != a || b' != b then ins.kind <- Store (a', b')
+  | Gep (a, b, sz) ->
+    let a' = f a and b' = f b in
+    if a' != a || b' != b then ins.kind <- Gep (a', b', sz)
+  | Call (Direct name, args) ->
+    let args' = map_shared f args in
+    if args' != args then ins.kind <- Call (Direct name, args')
+  | Call (Indirect fn, args) ->
+    let fn' = f fn and args' = map_shared f args in
+    if fn' != fn || args' != args then ins.kind <- Call (Indirect fn', args')
+  | Phi incoming ->
+    let incoming' = map_shared (map_arm f) incoming in
+    if incoming' != incoming then ins.kind <- Phi incoming'
+  | Alloca _ -> ()
 
 let term_operands = function
   | Ret (Some v) -> [ v ]
@@ -194,11 +245,24 @@ let term_operands = function
   | Cbr (c, _, _) -> [ c ]
   | Switch (v, _, _) -> [ v ]
 
-let map_term_operands f = function
-  | Ret (Some v) -> Ret (Some (f v))
-  | (Ret None | Unreachable | Br _) as t -> t
-  | Cbr (c, a, b) -> Cbr (f c, a, b)
-  | Switch (v, d, cases) -> Switch (f v, d, cases)
+let iter_term_operands f = function
+  | Ret (Some v) | Cbr (v, _, _) | Switch (v, _, _) -> f v
+  | Ret None | Unreachable | Br _ -> ()
+
+(** The terminator with its operands mapped through [f]; the terminator
+    itself when [f] changed nothing. *)
+let map_term_operands f t =
+  match t with
+  | Ret (Some v) ->
+    let v' = f v in
+    if v' == v then t else Ret (Some v')
+  | Ret None | Unreachable | Br _ -> t
+  | Cbr (c, a, b) ->
+    let c' = f c in
+    if c' == c then t else Cbr (c', a, b)
+  | Switch (v, d, cases) ->
+    let v' = f v in
+    if v' == v then t else Switch (v', d, cases)
 
 let successors = function
   | Ret _ | Unreachable -> []

@@ -250,14 +250,13 @@ let run_function _ctx (fn : Func.t) =
     List.filter_map
       (fun (blk : Func.block) ->
         let self = blk.Func.label in
-        match Cfg.SMap.find_opt self preds with
-        | Some ps -> (
+        match Hashtbl.find_opt preds self with
+        | Some ps when List.mem self ps -> (
           let outside = List.filter (fun p -> not (String.equal p self)) ps in
           match outside with
-          | [ preheader ] when List.mem self ps && body_size blk <= max_body ->
-            Some (blk, preheader)
+          | [ preheader ] when body_size blk <= max_body -> Some (blk, preheader)
           | _ -> None)
-        | None -> None)
+        | _ -> None)
       fn.Func.blocks
   in
   List.iter
