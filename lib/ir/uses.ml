@@ -4,26 +4,27 @@
 
 module SSet = Set.Make (String)
 
-let of_value acc = function
-  | Ins.Global g -> SSet.add g acc
-  | Ins.Blockaddr (f, _) -> SSet.add f acc
-  | Ins.Const _ | Ins.Reg _ | Ins.Undef _ -> acc
-
-let of_ins acc (i : Ins.ins) =
-  let acc =
-    match i.kind with
-    | Ins.Call (Ins.Direct f, _) -> SSet.add f acc
-    | _ -> acc
+(** [f] on every symbol a function mentions, duplicates included:
+    direct callees and [Global]/[Blockaddr] operands. *)
+let iter_func_refs f (fn : Func.t) =
+  let of_value = function
+    | Ins.Global g -> f g
+    | Ins.Blockaddr (g, _) -> f g
+    | Ins.Const _ | Ins.Reg _ | Ins.Undef _ -> ()
   in
-  List.fold_left of_value acc (Ins.operands i)
+  Func.iter_blocks
+    (fun b ->
+      List.iter
+        (fun (i : Ins.ins) ->
+          (match i.kind with Ins.Call (Ins.Direct g, _) -> f g | _ -> ());
+          Ins.iter_operands of_value i)
+        b.Func.insns;
+      Ins.iter_term_operands of_value b.Func.term)
+    fn
 
 let of_func (f : Func.t) =
   let acc = ref SSet.empty in
-  Func.iter_blocks
-    (fun b ->
-      List.iter (fun i -> acc := of_ins !acc i) b.Func.insns;
-      acc := List.fold_left of_value !acc (Ins.term_operands b.Func.term))
-    f;
+  iter_func_refs (fun s -> acc := SSet.add s !acc) f;
   !acc
 
 let of_gvar (v : Modul.gvar) =
@@ -36,22 +37,12 @@ let of_gvalue = function
   | Modul.Var v -> of_gvar v
   | Modul.Alias a -> SSet.singleton a.Modul.atarget
 
-(** Map symbol -> set of symbols that reference it (reverse references). *)
-let referencers (m : Modul.t) =
-  let table = Hashtbl.create 64 in
-  let record user target =
-    let old = Option.value ~default:SSet.empty (Hashtbl.find_opt table target) in
-    Hashtbl.replace table target (SSet.add user old)
-  in
-  List.iter
-    (fun gv ->
-      let user = Modul.gvalue_name gv in
-      SSet.iter (record user) (of_gvalue gv))
-    (Modul.globals m);
-  table
-
-let referencers_of table name =
-  Option.value ~default:SSet.empty (Hashtbl.find_opt table name)
+(** [f] on every symbol a global value mentions, duplicates included,
+    without building a set. *)
+let iter_refs f = function
+  | Modul.Fun fn -> iter_func_refs f fn
+  | Modul.Var v -> (match v.Modul.ginit with Modul.Symbols ss -> List.iter f ss | _ -> ())
+  | Modul.Alias a -> f a.Modul.atarget
 
 (** Call sites of every function across the module, by callee name:
     (caller, ins) lists in module order. One scan answers all callees. *)
@@ -91,9 +82,9 @@ let address_taken (m : Modul.t) =
               (fun (i : Ins.ins) ->
                 match i.kind with
                 | Ins.Call (Ins.Direct _, args) -> List.iter check_value args
-                | _ -> List.iter check_value (Ins.operands i))
+                | _ -> Ins.iter_operands check_value i)
               b.Func.insns;
-            List.iter check_value (Ins.term_operands b.Func.term))
+            Ins.iter_term_operands check_value b.Func.term)
           f
       | Modul.Var v -> (
         match v.Modul.ginit with
