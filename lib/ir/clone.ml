@@ -5,23 +5,34 @@
     the returned [map] lets patch logic translate pristine instructions to
     their clones ([Sched.map] in the paper's API). *)
 
+(* Instructions by physical identity: two structurally equal
+   instructions (the same store in two functions, say) are distinct
+   keys. The structural hash is consistent with [==] because a pristine
+   instruction is never mutated while it is a key. *)
+module Ins_tbl = Hashtbl.Make (struct
+  type t = Ins.ins
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 type map = {
-  ins_map : (Ins.ins, Ins.ins) Hashtbl.t;
+  ins_map : Ins.ins Ins_tbl.t;
       (** pristine instruction -> cloned instruction (physical identity) *)
   funcs : (string, Func.t) Hashtbl.t;  (** function name -> cloned function *)
 }
 
-let empty_map () = { ins_map = Hashtbl.create 256; funcs = Hashtbl.create 16 }
+let empty_map () = { ins_map = Ins_tbl.create 256; funcs = Hashtbl.create 16 }
 
 (** Find the clone of a pristine instruction. *)
-let map_ins map ins = Hashtbl.find_opt map.ins_map ins
+let map_ins map ins = Ins_tbl.find_opt map.ins_map ins
 
 let clone_func ?map (f : Func.t) =
   let record_in = map in
   let clone_ins (i : Ins.ins) =
     let copy = { i with Ins.kind = i.Ins.kind } in
     (match record_in with
-    | Some m -> Hashtbl.replace m.ins_map i copy
+    | Some m -> Ins_tbl.replace m.ins_map i copy
     | None -> ());
     copy
   in

@@ -5,8 +5,11 @@
     returned {!map} lets patch logic translate pristine instructions to
     their clones (the paper's [Sched.map]). *)
 
+(** Hash table keyed by physical identity of instructions. *)
+module Ins_tbl : Hashtbl.S with type key = Ins.ins
+
 type map = {
-  ins_map : (Ins.ins, Ins.ins) Hashtbl.t;
+  ins_map : Ins.ins Ins_tbl.t;  (** pristine -> clone, by physical identity *)
   funcs : (string, Func.t) Hashtbl.t;
 }
 

@@ -516,6 +516,132 @@ let test_reuse_matches_fresh_proj4 () =
   check_reuse_matches_fresh ~profile:"proj4" ~tests:3 ~max_steps:2900
     ~limit:80 ~want_hang:true
 
+(* ---------------- clone map: every mutant patches its own site ------- *)
+
+(* The full json campaign: its program holds structurally equal
+   instructions in different functions (the same store in [tiny_0] and
+   [tiny_2], say), so a clone map keyed structurally would let one
+   mutant patch another's site. *)
+let json_module = lazy (Workloads.Generate.compile (Workloads.Profile.find_exn "json"))
+
+let json_matrix workers =
+  fst
+    (run ~entry:Fuzzer.Campaign.entry (mk_cfg ~workers ~chunk:64 ())
+       ~suite:(cli_suite 4) (Lazy.force json_module))
+
+let json_matrix_1 = lazy (json_matrix 1)
+
+let test_json_campaign_across_domains () =
+  let one = Lazy.force json_matrix_1 and two = json_matrix 2 in
+  Alcotest.(check int) "all mutants" 1114 (List.length one.Analysis.m_rows);
+  List.iter2
+    (fun (a : Analysis.row) (b : Analysis.row) ->
+      if a <> b then
+        Alcotest.failf "row %d (%s %s) differs between 1 and 2 domains" a.Analysis.r_id
+          a.Analysis.r_target a.Analysis.r_desc)
+    one.Analysis.m_rows two.Analysis.m_rows
+
+(* The oracle applies one mutant by its position in the pristine IR
+   (function, block, instruction index) to a fresh clone of the program,
+   optimizes it, and runs the suite in [Ir.Interp]: no probe toggles, no
+   clone map. It optimizes because a deleted store leaves a slot
+   uninitialized, and what reading it gives is the optimizer's choice
+   (mem2reg reads undef, 0), not the interpreter's stale stack. *)
+let interp_outcomes m suite =
+  List.map
+    (fun input ->
+      let st = Ir.Interp.create ~max_steps:4_000_000 m in
+      List.iter
+        (fun n -> Ir.Interp.register_host st n (fun _ _ -> 0L))
+        Workloads.Generate.host_functions;
+      let addr = Ir.Interp.alloc_input st input in
+      match
+        Ir.Interp.run st Fuzzer.Campaign.entry
+          [ addr; Int64.of_int (String.length input) ]
+      with
+      | v -> Ok v
+      | exception Ir.Interp.Trap msg ->
+        Error (if contains msg "step budget" then Analysis.Hang else Analysis.Crash))
+    suite
+
+let apply_by_position (pristine : Ir.Modul.t) (p : Instr.Probe.t) =
+  let m = Instr.Probe.(match p.payload with Mutant m -> m | _ -> assert false) in
+  let block_in modul =
+    let fn = Option.get (Ir.Modul.find_func modul p.Instr.Probe.target) in
+    Ir.Func.find_block_exn fn m.Instr.Probe.mut_block
+  in
+  let copy = Ir.Clone.clone_module pristine in
+  let blk = block_in copy in
+  (match m.Instr.Probe.mut_ins with
+  | None -> (
+    match (m.Instr.Probe.mut_op, blk.Ir.Func.term) with
+    | Instr.Probe.Mut_brswap, Ir.Ins.Cbr (c, a, b) -> blk.Ir.Func.term <- Ir.Ins.Cbr (c, b, a)
+    | _ -> Alcotest.fail "terminator mutant without a conditional branch")
+  | Some site ->
+    let rec index k = function
+      | [] -> Alcotest.fail "mutant site not in its block"
+      | i :: rest -> if i == site then k else index (k + 1) rest
+    in
+    let k = index 0 (block_in pristine).Ir.Func.insns in
+    let ins = List.nth blk.Ir.Func.insns k in
+    let bump idx delta j v =
+      match v with
+      | Ir.Ins.Const (ty, c) when j = idx ->
+        Ir.Ins.Const (ty, Ir.Types.normalize ty (Int64.add c delta))
+      | v -> v
+    in
+    match (m.Instr.Probe.mut_op, ins.Ir.Ins.kind) with
+    | Instr.Probe.Mut_binop op, Ir.Ins.Binop (_, a, b) -> ins.Ir.Ins.kind <- Ir.Ins.Binop (op, a, b)
+    | Instr.Probe.Mut_icmp pr, Ir.Ins.Icmp (_, a, b) -> ins.Ir.Ins.kind <- Ir.Ins.Icmp (pr, a, b)
+    | Instr.Probe.Mut_const (idx, d), Ir.Ins.Binop (op, a, b) ->
+      ins.Ir.Ins.kind <- Ir.Ins.Binop (op, bump idx d 0 a, bump idx d 1 b)
+    | Instr.Probe.Mut_const (idx, d), Ir.Ins.Icmp (pr, a, b) ->
+      ins.Ir.Ins.kind <- Ir.Ins.Icmp (pr, bump idx d 0 a, bump idx d 1 b)
+    | Instr.Probe.Mut_const (idx, d), Ir.Ins.Select (c, a, b) ->
+      ins.Ir.Ins.kind <- Ir.Ins.Select (bump idx d 0 c, bump idx d 1 a, bump idx d 2 b)
+    | Instr.Probe.Mut_const (idx, d), Ir.Ins.Store (a, b) ->
+      ins.Ir.Ins.kind <- Ir.Ins.Store (bump idx d 0 a, bump idx d 1 b)
+    | Instr.Probe.Mut_del, _ ->
+      blk.Ir.Func.insns <- List.filter (fun i -> i != ins) blk.Ir.Func.insns
+    | _ -> Alcotest.fail "mutant does not fit its site");
+  copy
+
+let optimized m =
+  ignore (Opt.Pipeline.run_fragment m);
+  m
+
+let test_json_matches_interp_oracle () =
+  let pristine = Lazy.force json_module in
+  let suite = cli_suite 4 in
+  let session =
+    Odin.Session.create ~keep:[ Fuzzer.Campaign.entry ]
+      ~host:Workloads.Generate.host_functions ~pool:Pool.serial
+      (Ir.Clone.clone_module pristine)
+  in
+  let mutants = Array.of_list (Gen.setup session) in
+  let base = session.Odin.Session.base in
+  let want_pristine =
+    List.map Result.get_ok (interp_outcomes (optimized (Ir.Clone.clone_module base)) suite)
+  in
+  let rows = Array.of_list (Lazy.force json_matrix_1).Analysis.m_rows in
+  List.iter
+    (fun id ->
+      let oracle =
+        List.map2
+          (fun got want ->
+            match got with
+            | Ok v -> if Int64.equal v want then Analysis.Pass else Analysis.Kill
+            | Error o -> o)
+          (interp_outcomes (optimized (apply_by_position base mutants.(id))) suite)
+          want_pristine
+      in
+      let row = rows.(id) in
+      Alcotest.(check string)
+        (Printf.sprintf "mutant %d (%s %s)" id row.Analysis.r_target row.Analysis.r_desc)
+        (String.of_seq (Seq.map Analysis.outcome_char (List.to_seq oracle)))
+        (String.of_seq (Seq.map Analysis.outcome_char (List.to_seq row.Analysis.r_outcomes))))
+    [ 0; 3; 16; 88; 99; 100; 160; 412; 500; 742; 1000; 1113 ]
+
 let () =
   Alcotest.run "mutate"
     [
@@ -561,6 +687,10 @@ let () =
         [
           Alcotest.test_case "oversized input traps" `Quick
             test_oversized_input_traps;
+          Alcotest.test_case "json: full campaign, 1 = 2 domains" `Quick
+            test_json_campaign_across_domains;
+          Alcotest.test_case "json: rows = Interp oracle by position" `Quick
+            test_json_matches_interp_oracle;
           Alcotest.test_case "json: reused VM = fresh replay" `Quick
             test_reuse_matches_fresh_json;
           Alcotest.test_case "proj4: reused VM = fresh replay" `Quick
