@@ -150,13 +150,15 @@ type t = {
       (** copy-on-use symbol -> fragments holding a clone of it
           (fragment ids ascending); built once at create, immutable —
           the plan's clone sets never change after partitioning *)
-  memo : (string, Link.Objfile.t) Hashtbl.t;
+  memo : Link.Objfile.t Support.Lru.t;
       (** per-session optimization memo: Shash digest of the
           instrumented fragment -> finished object. Lets an unchanged
           fragment skip verify, cache locks and {!Opt.Pipeline}
-          entirely. Reset by {!set_opt_rounds} (the digest also embeds
-          the bound — belt and braces); written only from the serial
-          join loop, read concurrently by pool jobs *)
+          entirely. Bounded to [64 + 2 * fragments] entries, least
+          recently used out first. Reset by {!set_opt_rounds} (the
+          digest also embeds the bound — belt and braces); written only
+          from the serial join loop, read (peeked) concurrently by pool
+          jobs *)
   mutable tiered : bool;
       (** two-tier compilation: freshly changed fragments compile
           through the single-pass tier-0 baseline backend and hot

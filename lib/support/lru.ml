@@ -23,6 +23,8 @@ let find t key =
       touch t e;
       Some e.value
 
+let peek t key = Option.map (fun e -> e.value) (Hashtbl.find_opt t.tbl key)
+
 let evict_oldest t =
   let victim = ref None in
   Hashtbl.iter

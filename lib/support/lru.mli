@@ -16,6 +16,10 @@ val length : 'a t -> int
 (** Look up [key]; a hit refreshes its recency. *)
 val find : 'a t -> string -> 'a option
 
+(** Look up [key] without refreshing its recency: a pure read, safe
+    from several domains while nobody writes. *)
+val peek : 'a t -> string -> 'a option
+
 (** Insert or overwrite [key]; evicts the least-recently-used entry
     when over capacity. *)
 val add : 'a t -> string -> 'a -> unit
