@@ -26,6 +26,8 @@ let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
 type ctx = {
   fn : Func.t;
+  phi_arms : (string, (string, (Ins.ins * Ins.value) list) Hashtbl.t) Hashtbl.t;
+      (** block label -> {!arms_by_pred} of its phis (blocks with phis only) *)
   mutable next_vreg : int;
   vregs : (string, int) Hashtbl.t;  (** SSA name -> vreg *)
   block_ids : (string, int) Hashtbl.t;
@@ -223,8 +225,8 @@ let is_inc_triple uses (ld : Ins.ins) (add : Ins.ins) (st : Ins.ins) =
   | _ -> false
 
 (* Lower a block's instructions with the fusion peephole. [uses] counts
-   SSA uses; [defs] maps names to their defining instruction. *)
-let lower_block_insns ctx uses defs insns =
+   SSA uses. *)
+let lower_block_insns ctx uses insns =
   let rec walk = function
     | (gep : Ins.ins) :: ld :: add :: st :: rest
       when (match gep.Ins.kind with
@@ -251,32 +253,59 @@ let lower_block_insns ctx uses defs insns =
       walk rest
     | [] -> ()
   in
-  ignore defs;
   walk insns
 
 (* Parallel copies for the phis of [succ] along the edge from [pred_label].
    Classic sequentialization: emit copies whose destination is not a
    pending source; break cycles with a temporary. *)
-let phi_copies ctx (succ : Func.block) pred_label =
+(* The phis of one block by incoming edge: predecessor label -> the
+   (phi, value) pairs for that edge, in phi order (a phi's first arm
+   for a label wins). One pass over the arms instead of a search of
+   every phi's arms per edge. *)
+let arms_by_pred phis =
+  let by_pred = Hashtbl.create 16 in
+  List.iter
+    (fun (i : Ins.ins) ->
+      match i.Ins.kind with
+      | Ins.Phi incoming ->
+        List.iter
+          (fun (l, v) ->
+            match Hashtbl.find_opt by_pred l with
+            | Some ((j, _) :: _) when j == i -> ()
+            | Some arms -> Hashtbl.replace by_pred l ((i, v) :: arms)
+            | None -> Hashtbl.add by_pred l [ (i, v) ])
+          incoming
+      | _ -> ())
+    phis;
+  Hashtbl.filter_map_inplace (fun _ arms -> Some (List.rev arms)) by_pred;
+  by_pred
+
+(* Parallel copies for the phis of a successor along the edge from
+   [pred_label] ([arms]: that edge's (phi, value) pairs, in phi order).
+   Classic sequentialization: emit copies whose destination is not a
+   pending source; break cycles with a temporary. *)
+let phi_copies ctx arms =
   let pending =
-    List.filter_map
-      (fun (i : Ins.ins) ->
-        match i.Ins.kind with
-        | Ins.Phi incoming -> (
-          match List.assoc_opt pred_label incoming with
-          | Some v -> Some (vreg_of ctx i.Ins.id, operand_of ctx v)
-          | None -> None)
-        | _ -> None)
-      succ.Func.insns
+    List.map
+      (fun ((i : Ins.ins), v) ->
+        let src = operand_of ctx v in
+        (vreg_of ctx i.Ins.id, src))
+      arms
   in
   let pending = ref pending in
   let reads_reg r (_, src) = match src with Mach.Oreg s -> s = r | _ -> false in
+  (* how many pending copies read each register *)
+  let readers = Hashtbl.create 16 in
   while !pending <> [] do
-    match
-      List.partition
-        (fun (dst, _) -> not (List.exists (reads_reg dst) !pending))
-        !pending
-    with
+    Hashtbl.reset readers;
+    List.iter
+      (fun (_, src) ->
+        match src with
+        | Mach.Oreg s ->
+          Hashtbl.replace readers s (1 + Option.value ~default:0 (Hashtbl.find_opt readers s))
+        | _ -> ())
+      !pending;
+    match List.partition (fun (dst, _) -> not (Hashtbl.mem readers dst)) !pending with
     | [], (dst, src) :: rest ->
       (* cycle: save dst's old value in a temp, redirect its readers to
          the temp, then the copy into dst is safe to emit *)
@@ -296,8 +325,11 @@ let lower_term ctx (b : Func.block) =
   (* phi copies first, for every successor *)
   List.iter
     (fun succ_label ->
-      match Func.find_block ctx.fn succ_label with
-      | Some succ -> phi_copies ctx succ b.Func.label
+      match Hashtbl.find_opt ctx.phi_arms succ_label with
+      | Some by_pred -> (
+        match Hashtbl.find_opt by_pred b.Func.label with
+        | Some arms -> phi_copies ctx arms
+        | None -> ())
       | None -> ())
     (Ins.successors b.Func.term);
   match b.Func.term with
@@ -326,9 +358,23 @@ let lower_term ctx (b : Func.block) =
 let select (fn : Func.t) =
   if Func.is_declaration fn then invalid_arg ("Isel.select: declaration " ^ fn.Func.name);
   let blocks = Cfg.rpo fn in
+  let phi_arms = Hashtbl.create 16 in
+  (* the first block of a label wins, as a front-to-back search finds it *)
+  let no_phis = Hashtbl.create 1 in
+  List.iter
+    (fun (b : Func.block) ->
+      if not (Hashtbl.mem phi_arms b.Func.label) then
+        Hashtbl.add phi_arms b.Func.label
+          (if List.exists
+                (fun (i : Ins.ins) -> match i.Ins.kind with Ins.Phi _ -> true | _ -> false)
+                b.Func.insns
+           then arms_by_pred b.Func.insns
+           else no_phis))
+    fn.Func.blocks;
   let ctx =
     {
       fn;
+      phi_arms;
       next_vreg = Mach.num_phys;
       vregs = Hashtbl.create 64;
       block_ids = Hashtbl.create 16;
@@ -340,7 +386,6 @@ let select (fn : Func.t) =
   in
   List.iteri (fun i b -> Hashtbl.replace ctx.block_ids b.Func.label i) blocks;
   let uses = Func.use_counts fn in
-  let defs = Func.def_map fn in
   let vblocks =
     List.mapi
       (fun i (b : Func.block) ->
@@ -354,7 +399,7 @@ let select (fn : Func.t) =
                 unsupported "function @%s has too many parameters" fn.Func.name;
               emit ctx (Mach.Mmov (vreg_of ctx p, Mach.Oreg (List.nth Mach.arg_regs k))))
             fn.Func.params;
-        lower_block_insns ctx uses defs b.Func.insns;
+        lower_block_insns ctx uses b.Func.insns;
         lower_term ctx b;
         vb.vb_insts <- List.rev vb.vb_insts;
         vb)
