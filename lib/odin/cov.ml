@@ -17,39 +17,58 @@ type t = {
   mutable pruned_total : int;
 }
 
-(* Register names already used by [fn], as a mutable set: one O(|fn|)
-   walk serves every probe on the function ([Ir.Func.fresh_name] walks
-   the whole function per call, which is quadratic when a function
-   carries many probes). *)
-let used_names (fn : Ir.Func.t) =
+(* What patching one function needs, built once and shared by all its
+   probes (a block-per-probe scheme puts hundreds of probes on one
+   function): its blocks by label, and the register names in use as a
+   mutable set, with the next suffix to try per hint. *)
+type fn_state = {
+  blocks : (string, Ir.Func.block) Hashtbl.t;
+  used : (string, unit) Hashtbl.t;
+  next_suffix : (string, int) Hashtbl.t;
+}
+
+let fn_state (fn : Ir.Func.t) =
+  let blocks = Hashtbl.create 16 in
+  (* the first block of a label wins, as a front-to-back search finds it *)
+  List.iter
+    (fun (b : Ir.Func.block) ->
+      if not (Hashtbl.mem blocks b.Ir.Func.label) then Hashtbl.add blocks b.Ir.Func.label b)
+    fn.Ir.Func.blocks;
   let used = Hashtbl.create 64 in
   List.iter (fun (_, p) -> Hashtbl.replace used p ()) fn.Ir.Func.params;
   Ir.Func.iter_insns
     (fun (i : Ir.Ins.ins) ->
       if i.Ir.Ins.id <> "" then Hashtbl.replace used i.Ir.Ins.id ())
     fn;
-  used
+  { blocks; used; next_suffix = Hashtbl.create 4 }
 
-let fresh used hint =
+(* [hint] if unused, else the first unused [hint.N]. Names are only ever
+   added, so every [hint.N] below the last one handed out stays used and
+   the search resumes there. *)
+let fresh st hint =
   let name =
-    if not (Hashtbl.mem used hint) then hint
+    if not (Hashtbl.mem st.used hint) then hint
     else begin
       let rec try_n n =
         let candidate = Printf.sprintf "%s.%d" hint n in
-        if Hashtbl.mem used candidate then try_n (n + 1) else candidate
+        if Hashtbl.mem st.used candidate then try_n (n + 1)
+        else begin
+          Hashtbl.replace st.next_suffix hint (n + 1);
+          candidate
+        end
       in
-      try_n 1
+      try_n (Option.value ~default:1 (Hashtbl.find_opt st.next_suffix hint))
     end
   in
-  Hashtbl.replace used name ();
+  Hashtbl.replace st.used name ();
   name
 
 (* Insert the counter-increment sequence at the head of [blk] (after any
    phis), as volatile instructions so no pass can elide or merge them. *)
-let insert_counter used (blk : Ir.Func.block) pid =
-  let ptr = fresh used "covp" in
-  let old = fresh used "covv" in
-  let incremented = fresh used "covi" in
+let insert_counter st (blk : Ir.Func.block) pid =
+  let ptr = fresh st "covp" in
+  let old = fresh st "covv" in
+  let incremented = fresh st "covi" in
   let seq =
     [
       Ir.Ins.mk ~volatile:true ~id:ptr ~ty:Ir.Types.Ptr
@@ -71,28 +90,25 @@ let insert_counter used (blk : Ir.Func.block) pid =
   blk.Ir.Func.insns <- phis @ seq @ rest
 
 (* The patch logic: map each active coverage probe to the temporary IR
-   and insert its counter. The used-name set is computed once per target
-   function and shared by all its probes (a block-per-probe scheme can
-   put hundreds of probes on one function). *)
+   and insert its counter. *)
 let patch (sched : Session.sched) =
-  let names = Hashtbl.create 16 in
+  let states = Hashtbl.create 16 in
   List.iter
     (fun (p : Instr.Probe.t) ->
       match p.Instr.Probe.payload with
       | Instr.Probe.Cov c -> (
         match Session.map_func sched p.Instr.Probe.target with
         | Some fn when not (Ir.Func.is_declaration fn) -> (
-          match Ir.Func.find_block fn c.Instr.Probe.cov_block with
-          | Some blk ->
-            let used =
-              match Hashtbl.find_opt names p.Instr.Probe.target with
-              | Some u -> u
-              | None ->
-                let u = used_names fn in
-                Hashtbl.replace names p.Instr.Probe.target u;
-                u
-            in
-            insert_counter used blk p.Instr.Probe.pid
+          let st =
+            match Hashtbl.find_opt states p.Instr.Probe.target with
+            | Some st -> st
+            | None ->
+              let st = fn_state fn in
+              Hashtbl.replace states p.Instr.Probe.target st;
+              st
+          in
+          match Hashtbl.find_opt st.blocks c.Instr.Probe.cov_block with
+          | Some blk -> insert_counter st blk p.Instr.Probe.pid
           | None -> () (* block label vanished: stale probe, nothing to do *))
         | _ -> ())
       | _ -> ())
